@@ -93,18 +93,8 @@ class GateServer::Connection : public Sink
         // One buffer for header + payload so the frame goes out in a
         // single write_full pass (through the patient writer, since the
         // fd is nonblocking).
-        const std::vector<std::uint8_t> payload = serialize(response);
-        std::vector<std::uint8_t> frame;
-        frame.reserve(net::kFrameHeaderBytes + payload.size());
-        const std::uint32_t magic = net::kFrameMagic;
-        const auto length = static_cast<std::uint32_t>(payload.size());
-        for (int shift = 0; shift < 32; shift += 8)
-            frame.push_back(
-                static_cast<std::uint8_t>(magic >> shift));
-        for (int shift = 0; shift < 32; shift += 8)
-            frame.push_back(
-                static_cast<std::uint8_t>(length >> shift));
-        frame.insert(frame.end(), payload.begin(), payload.end());
+        const std::vector<std::uint8_t> frame =
+            net::make_frame(serialize(response));
         std::lock_guard<std::mutex> lock(write_mutex_);
         if (!fd_.valid()) return; // closed while the task was queued
         if (!net::write_full(fd_.get(), frame.data(), frame.size(),

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "lowp/grid.h"
 #include "lowp/round.h"
+#include "net/bytes.h"
 
 namespace buckwild::gate {
 
@@ -13,142 +13,6 @@ namespace {
 
 constexpr std::size_t kRequestFixedBytes = 28;
 constexpr std::size_t kResponseFixedBytes = 34;
-
-void
-put_u16(std::vector<std::uint8_t>& out, std::uint16_t v)
-{
-    out.push_back(static_cast<std::uint8_t>(v));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void
-put_u32(std::vector<std::uint8_t>& out, std::uint32_t v)
-{
-    out.push_back(static_cast<std::uint8_t>(v));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
-    out.push_back(static_cast<std::uint8_t>(v >> 16));
-    out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void
-put_u64(std::vector<std::uint8_t>& out, std::uint64_t v)
-{
-    put_u32(out, static_cast<std::uint32_t>(v));
-    put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-void
-put_f32(std::vector<std::uint8_t>& out, float v)
-{
-    std::uint32_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    put_u32(out, bits);
-}
-
-/// Cursor over the receive buffer; every read is bounds-checked.
-class Reader
-{
-  public:
-    Reader(const std::uint8_t* data, std::size_t n) : data_(data), n_(n) {}
-
-    bool
-    u8(std::uint8_t* out)
-    {
-        if (pos_ + 1 > n_) return false;
-        *out = data_[pos_++];
-        return true;
-    }
-
-    bool
-    u16(std::uint16_t* out)
-    {
-        if (pos_ + 2 > n_) return false;
-        *out = static_cast<std::uint16_t>(
-            static_cast<std::uint16_t>(data_[pos_]) |
-            (static_cast<std::uint16_t>(data_[pos_ + 1]) << 8));
-        pos_ += 2;
-        return true;
-    }
-
-    bool
-    u32(std::uint32_t* out)
-    {
-        if (pos_ + 4 > n_) return false;
-        *out = static_cast<std::uint32_t>(data_[pos_]) |
-               (static_cast<std::uint32_t>(data_[pos_ + 1]) << 8) |
-               (static_cast<std::uint32_t>(data_[pos_ + 2]) << 16) |
-               (static_cast<std::uint32_t>(data_[pos_ + 3]) << 24);
-        pos_ += 4;
-        return true;
-    }
-
-    bool
-    u64(std::uint64_t* out)
-    {
-        std::uint32_t lo = 0;
-        std::uint32_t hi = 0;
-        if (!u32(&lo) || !u32(&hi)) return false;
-        *out = static_cast<std::uint64_t>(lo) |
-               (static_cast<std::uint64_t>(hi) << 32);
-        return true;
-    }
-
-    bool
-    f32(float* out)
-    {
-        std::uint32_t bits = 0;
-        if (!u32(&bits)) return false;
-        std::memcpy(out, &bits, sizeof(*out));
-        return true;
-    }
-
-    bool
-    str(std::string* out, std::size_t count)
-    {
-        if (pos_ + count > n_ || pos_ + count < pos_) return false;
-        out->assign(reinterpret_cast<const char*>(data_) + pos_, count);
-        pos_ += count;
-        return true;
-    }
-
-    /// Bulk byte copy — the q8 payload fast path. Keeping the ingress
-    /// parse at memcpy speed is what keeps the event loop's capacity to
-    /// refuse far above the workers' capacity to score.
-    bool
-    blob(void* out, std::size_t count)
-    {
-        if (pos_ + count > n_ || pos_ + count < pos_) return false;
-        std::memcpy(out, data_ + pos_, count);
-        pos_ += count;
-        return true;
-    }
-
-    /// Remaining unread bytes (for count-times-size overflow checks).
-    std::size_t remaining() const { return n_ - pos_; }
-
-    /// Pointer to the first unread byte (trailing trace block parse).
-    const std::uint8_t* cursor() const { return data_ + pos_; }
-
-    bool done() const { return pos_ == n_; }
-
-  private:
-    const std::uint8_t* data_;
-    std::size_t n_;
-    std::size_t pos_ = 0;
-};
-
-/// Common tail of both deserializers: accept the exact historical end
-/// (no trace) or exactly one well-formed trailing trace block; reject
-/// everything in between.
-bool
-finish_with_trace(Reader& reader, obs::WireTrace& trace)
-{
-    trace = obs::WireTrace{};
-    if (reader.done()) return true;
-    if (reader.remaining() != obs::kTraceBlockBytes) return false;
-    return obs::parse_trace_block(reader.cursor(), reader.remaining(),
-                                  trace);
-}
 
 } // namespace
 
@@ -179,41 +43,29 @@ to_string(Status status)
 std::vector<std::uint8_t>
 serialize(const ScoreRequest& request)
 {
-    const std::size_t n = request.feature_count();
-    std::size_t feature_bytes = 0;
-    switch (request.encoding) {
-    case FeatureEncoding::kDenseF32: feature_bytes = n * 4; break;
-    case FeatureEncoding::kDenseQ8: feature_bytes = n; break;
-    case FeatureEncoding::kSparseF32: feature_bytes = n * 8; break;
-    }
     std::vector<std::uint8_t> out;
     out.reserve(kRequestFixedBytes + request.model.size() +
-                request.tenant.size() + feature_bytes);
-    out.push_back(static_cast<std::uint8_t>(MsgKind::kScoreRequest));
-    out.push_back(static_cast<std::uint8_t>(request.encoding));
-    out.push_back(static_cast<std::uint8_t>(request.lane));
-    out.push_back(0); // reserved
-    put_u64(out, request.request_id);
-    put_u32(out, request.deadline_us);
-    put_f32(out, request.scale);
-    put_u16(out, static_cast<std::uint16_t>(request.model.size()));
-    put_u16(out, static_cast<std::uint16_t>(request.tenant.size()));
-    put_u32(out, static_cast<std::uint32_t>(n));
-    out.insert(out.end(), request.model.begin(), request.model.end());
-    out.insert(out.end(), request.tenant.begin(), request.tenant.end());
+                request.tenant.size() + request.dense.size() * 4 +
+                request.q8.size() + request.index.size() * 4);
+    net::ByteWriter writer(out);
+    writer.u8(static_cast<std::uint8_t>(MsgKind::kScoreRequest));
+    writer.u8(static_cast<std::uint8_t>(request.encoding));
+    writer.u8(static_cast<std::uint8_t>(request.lane));
+    writer.u8(0); // reserved
+    writer.u64(request.request_id);
+    writer.u32(request.deadline_us);
+    writer.f32(request.scale);
+    writer.u16(static_cast<std::uint16_t>(request.model.size()));
+    writer.u16(static_cast<std::uint16_t>(request.tenant.size()));
+    writer.u32(static_cast<std::uint32_t>(request.feature_count()));
+    writer.array(request.model);
+    writer.array(request.tenant);
     switch (request.encoding) {
-    case FeatureEncoding::kDenseF32:
-        for (const float x : request.dense) put_f32(out, x);
-        break;
-    case FeatureEncoding::kDenseQ8: {
-        const auto* q8 =
-            reinterpret_cast<const std::uint8_t*>(request.q8.data());
-        out.insert(out.end(), q8, q8 + request.q8.size());
-        break;
-    }
+    case FeatureEncoding::kDenseF32: writer.array(request.dense); break;
+    case FeatureEncoding::kDenseQ8: writer.array(request.q8); break;
     case FeatureEncoding::kSparseF32:
-        for (const std::uint32_t i : request.index) put_u32(out, i);
-        for (const float x : request.dense) put_f32(out, x);
+        writer.array(request.index);
+        writer.array(request.dense);
         break;
     }
     if (request.trace.ctx.valid())
@@ -224,7 +76,7 @@ serialize(const ScoreRequest& request)
 bool
 deserialize(const std::uint8_t* data, std::size_t n, ScoreRequest& out)
 {
-    Reader reader(data, n);
+    net::ByteReader reader(data, n);
     std::uint8_t kind = 0;
     std::uint8_t encoding = 0;
     std::uint8_t lane = 0;
@@ -250,40 +102,27 @@ deserialize(const std::uint8_t* data, std::size_t n, ScoreRequest& out)
     if (model_len > kMaxModelNameBytes) return false;
     if (tenant_len > kMaxTenantBytes) return false;
     if (count > kMaxFeatureCount) return false;
-    if (!reader.str(&out.model, model_len)) return false;
-    if (!reader.str(&out.tenant, tenant_len)) return false;
-    // Check the declared feature payload fits the remaining buffer
-    // BEFORE resizing — a corrupt count must not drive an allocation.
-    const std::size_t k = count;
+    if (!reader.array(&out.model, model_len)) return false;
+    if (!reader.array(&out.tenant, tenant_len)) return false;
+    // array() checks each declared run against the remaining buffer
+    // before resizing — a corrupt count never drives an allocation.
     out.dense.clear();
     out.q8.clear();
     out.index.clear();
     switch (out.encoding) {
-    case FeatureEncoding::kDenseF32: {
-        if (reader.remaining() < k * 4) return false;
-        out.dense.resize(k);
-        for (std::size_t i = 0; i < k; ++i)
-            if (!reader.f32(&out.dense[i])) return false;
+    case FeatureEncoding::kDenseF32:
+        if (!reader.array(&out.dense, count)) return false;
+        break;
+    case FeatureEncoding::kDenseQ8:
+        if (!reader.array(&out.q8, count)) return false;
+        break;
+    case FeatureEncoding::kSparseF32:
+        if (!reader.array(&out.index, count) ||
+            !reader.array(&out.dense, count))
+            return false;
         break;
     }
-    case FeatureEncoding::kDenseQ8: {
-        if (reader.remaining() < k) return false;
-        out.q8.resize(k);
-        if (!reader.blob(out.q8.data(), k)) return false;
-        break;
-    }
-    case FeatureEncoding::kSparseF32: {
-        if (reader.remaining() < k * 8) return false;
-        out.index.resize(k);
-        out.dense.resize(k);
-        for (std::size_t i = 0; i < k; ++i)
-            if (!reader.u32(&out.index[i])) return false;
-        for (std::size_t i = 0; i < k; ++i)
-            if (!reader.f32(&out.dense[i])) return false;
-        break;
-    }
-    }
-    return finish_with_trace(reader, out.trace);
+    return obs::parse_trailing_trace(reader, out.trace);
 }
 
 std::vector<std::uint8_t>
@@ -291,16 +130,17 @@ serialize(const ScoreResponse& response)
 {
     std::vector<std::uint8_t> out;
     out.reserve(kResponseFixedBytes + response.message.size());
-    out.push_back(static_cast<std::uint8_t>(MsgKind::kScoreResponse));
-    out.push_back(static_cast<std::uint8_t>(response.status));
-    put_u16(out, 0); // reserved
-    put_u64(out, response.request_id);
-    put_f32(out, response.margin);
-    put_f32(out, response.score);
-    put_f32(out, response.label);
-    put_u64(out, response.model_version);
-    put_u16(out, static_cast<std::uint16_t>(response.message.size()));
-    out.insert(out.end(), response.message.begin(), response.message.end());
+    net::ByteWriter writer(out);
+    writer.u8(static_cast<std::uint8_t>(MsgKind::kScoreResponse));
+    writer.u8(static_cast<std::uint8_t>(response.status));
+    writer.u16(0); // reserved
+    writer.u64(response.request_id);
+    writer.f32(response.margin);
+    writer.f32(response.score);
+    writer.f32(response.label);
+    writer.u64(response.model_version);
+    writer.u16(static_cast<std::uint16_t>(response.message.size()));
+    writer.array(response.message);
     if (response.trace.ctx.valid())
         obs::append_trace_block(out, response.trace);
     return out;
@@ -309,7 +149,7 @@ serialize(const ScoreResponse& response)
 bool
 deserialize(const std::uint8_t* data, std::size_t n, ScoreResponse& out)
 {
-    Reader reader(data, n);
+    net::ByteReader reader(data, n);
     std::uint8_t kind = 0;
     std::uint8_t status = 0;
     std::uint16_t reserved = 0;
@@ -327,8 +167,8 @@ deserialize(const std::uint8_t* data, std::size_t n, ScoreResponse& out)
         !reader.u64(&out.model_version) || !reader.u16(&message_len))
         return false;
     if (message_len > kMaxMessageBytes) return false;
-    if (!reader.str(&out.message, message_len)) return false;
-    return finish_with_trace(reader, out.trace);
+    if (!reader.array(&out.message, message_len)) return false;
+    return obs::parse_trailing_trace(reader, out.trace);
 }
 
 float

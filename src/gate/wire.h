@@ -3,9 +3,9 @@
  * The gate wire protocol — what a scoring client puts inside a net::
  * frame when it talks to the serving front door.
  *
- * Little-endian throughout, fixed field order, bounds-checked parsing,
- * in the ps/wire.h idiom. Every frame payload starts with a one-byte
- * message kind; the two kinds are:
+ * Little-endian throughout, fixed field order, bounds-checked parsing
+ * through the net/bytes.h codec, like ps/wire.h. Every frame payload
+ * starts with a one-byte message kind; the two kinds are:
  *
  * ScoreRequest (kind 1):
  *

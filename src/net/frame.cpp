@@ -1,32 +1,9 @@
 #include "net/frame.h"
 
-#include <cstring>
-
+#include "net/bytes.h"
 #include "net/socket.h"
 
 namespace buckwild::net {
-
-namespace {
-
-void
-put_u32(std::uint8_t* out, std::uint32_t v)
-{
-    out[0] = static_cast<std::uint8_t>(v);
-    out[1] = static_cast<std::uint8_t>(v >> 8);
-    out[2] = static_cast<std::uint8_t>(v >> 16);
-    out[3] = static_cast<std::uint8_t>(v >> 24);
-}
-
-std::uint32_t
-get_u32(const std::uint8_t* in)
-{
-    return static_cast<std::uint32_t>(in[0]) |
-           (static_cast<std::uint32_t>(in[1]) << 8) |
-           (static_cast<std::uint32_t>(in[2]) << 16) |
-           (static_cast<std::uint32_t>(in[3]) << 24);
-}
-
-} // namespace
 
 bool
 write_frame(int fd, const std::uint8_t* payload, std::size_t n)
@@ -34,10 +11,22 @@ write_frame(int fd, const std::uint8_t* payload, std::size_t n)
     // One send for the header keeps the write count low; the payload
     // follows in its own send (no copy of a potentially large body).
     std::uint8_t header[kFrameHeaderBytes];
-    put_u32(header, kFrameMagic);
-    put_u32(header + 4, static_cast<std::uint32_t>(n));
+    store_le(header, kFrameMagic);
+    store_le(header + 4, static_cast<std::uint32_t>(n));
     if (!write_full(fd, header, sizeof(header))) return false;
     return n == 0 || write_full(fd, payload, n);
+}
+
+std::vector<std::uint8_t>
+make_frame(const std::vector<std::uint8_t>& payload)
+{
+    std::vector<std::uint8_t> frame;
+    frame.reserve(kFrameHeaderBytes + payload.size());
+    ByteWriter writer(frame);
+    writer.u32(kFrameMagic);
+    writer.u32(static_cast<std::uint32_t>(payload.size()));
+    writer.array(payload);
+    return frame;
 }
 
 FrameResult
@@ -52,8 +41,9 @@ read_frame(int fd, std::vector<std::uint8_t>& payload,
     case ReadResult::kError: return FrameResult::kError;
     case ReadResult::kOk: break;
     }
-    if (get_u32(header) != kFrameMagic) return FrameResult::kBadMagic;
-    const std::uint32_t length = get_u32(header + 4);
+    if (load_le<std::uint32_t>(header) != kFrameMagic)
+        return FrameResult::kBadMagic;
+    const auto length = load_le<std::uint32_t>(header + 4);
     if (length > max_payload_bytes) return FrameResult::kTooLarge;
     payload.resize(length);
     if (length > 0 && !read_full(fd, payload.data(), length))
@@ -84,11 +74,11 @@ FrameSplitter::next(std::vector<std::uint8_t>& payload)
     const std::size_t avail = buffer_.size() - consumed_;
     if (avail < kFrameHeaderBytes) return SplitResult::kNeedMore;
     const std::uint8_t* head = buffer_.data() + consumed_;
-    if (get_u32(head) != kFrameMagic) {
+    if (load_le<std::uint32_t>(head) != kFrameMagic) {
         poisoned_ = true;
         return SplitResult::kBadMagic;
     }
-    const std::uint32_t length = get_u32(head + 4);
+    const auto length = load_le<std::uint32_t>(head + 4);
     if (length > max_payload_bytes_) {
         poisoned_ = true;
         return SplitResult::kTooLarge;

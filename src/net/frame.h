@@ -50,6 +50,10 @@ enum class FrameResult {
 /// Writes one frame (header + payload). False on error or peer close.
 bool write_frame(int fd, const std::uint8_t* payload, std::size_t n);
 
+/// Header + payload as one buffer, for writers that must put a whole
+/// frame on the wire in a single write (the gate's nonblocking replies).
+std::vector<std::uint8_t> make_frame(const std::vector<std::uint8_t>& payload);
+
 /**
  * Reads one frame into `payload` (resized to the exact length).
  * Validates the magic and the length cap before allocating.

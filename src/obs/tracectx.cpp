@@ -5,6 +5,8 @@
 
 #include <unistd.h>
 
+#include "net/bytes.h"
+
 namespace buckwild::obs {
 namespace {
 
@@ -40,22 +42,6 @@ next_id()
         counter.fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t id = splitmix64(seed + n);
     return id == 0 ? 1 : id;
-}
-
-void
-put_u64(std::vector<std::uint8_t>& out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint64_t
-get_u64(const std::uint8_t* p)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
 }
 
 char
@@ -119,36 +105,51 @@ void
 append_trace_block(std::vector<std::uint8_t>& out, const WireTrace& trace)
 {
     out.reserve(out.size() + kTraceBlockBytes);
-    out.push_back(kTraceBlockTag);
-    out.push_back(kTraceBlockVersion);
-    put_u64(out, trace.ctx.trace_lo);
-    put_u64(out, trace.ctx.trace_hi);
-    put_u64(out, trace.ctx.span);
-    put_u64(out, trace.ctx.parent);
-    put_u64(out, static_cast<std::uint64_t>(trace.send_ts_ns));
-    put_u64(out, static_cast<std::uint64_t>(trace.echo_send_ts_ns));
-    put_u64(out, static_cast<std::uint64_t>(trace.echo_recv_ts_ns));
+    net::ByteWriter writer(out);
+    writer.u8(kTraceBlockTag);
+    writer.u8(kTraceBlockVersion);
+    writer.u64(trace.ctx.trace_lo);
+    writer.u64(trace.ctx.trace_hi);
+    writer.u64(trace.ctx.span);
+    writer.u64(trace.ctx.parent);
+    writer.u64(static_cast<std::uint64_t>(trace.send_ts_ns));
+    writer.u64(static_cast<std::uint64_t>(trace.echo_send_ts_ns));
+    writer.u64(static_cast<std::uint64_t>(trace.echo_recv_ts_ns));
 }
 
 bool
 parse_trace_block(const std::uint8_t* data, std::size_t n, WireTrace& out)
 {
-    if (n != kTraceBlockBytes) return false;
-    if (data[0] != kTraceBlockTag) return false;
-    if (data[1] != kTraceBlockVersion) return false;
+    net::ByteReader reader(data, n);
+    std::uint8_t tag = 0;
+    std::uint8_t version = 0;
+    std::uint64_t send_ts = 0;
+    std::uint64_t echo_send_ts = 0;
+    std::uint64_t echo_recv_ts = 0;
     WireTrace trace;
-    trace.ctx.trace_lo = get_u64(data + 2);
-    trace.ctx.trace_hi = get_u64(data + 10);
-    trace.ctx.span = get_u64(data + 18);
-    trace.ctx.parent = get_u64(data + 26);
-    trace.send_ts_ns = static_cast<std::int64_t>(get_u64(data + 34));
-    trace.echo_send_ts_ns = static_cast<std::int64_t>(get_u64(data + 42));
-    trace.echo_recv_ts_ns = static_cast<std::int64_t>(get_u64(data + 50));
+    if (!reader.u8(&tag) || tag != kTraceBlockTag || !reader.u8(&version) ||
+        version != kTraceBlockVersion || !reader.u64(&trace.ctx.trace_lo) ||
+        !reader.u64(&trace.ctx.trace_hi) || !reader.u64(&trace.ctx.span) ||
+        !reader.u64(&trace.ctx.parent) || !reader.u64(&send_ts) ||
+        !reader.u64(&echo_send_ts) || !reader.u64(&echo_recv_ts) ||
+        !reader.done())
+        return false;
     // A block whose context is invalid could never have been emitted by
     // append_trace_block; treat it as trailing garbage.
     if (!trace.ctx.valid()) return false;
+    trace.send_ts_ns = static_cast<std::int64_t>(send_ts);
+    trace.echo_send_ts_ns = static_cast<std::int64_t>(echo_send_ts);
+    trace.echo_recv_ts_ns = static_cast<std::int64_t>(echo_recv_ts);
     out = trace;
     return true;
+}
+
+bool
+parse_trailing_trace(net::ByteReader& reader, WireTrace& out)
+{
+    out = WireTrace{};
+    return reader.done() ||
+           parse_trace_block(reader.cursor(), reader.remaining(), out);
 }
 
 ClockSample

@@ -42,6 +42,8 @@
 #include <string>
 #include <vector>
 
+#include "net/bytes.h"
+
 namespace buckwild::obs {
 
 /// The identity one distributed operation carries across processes.
@@ -104,6 +106,14 @@ void append_trace_block(std::vector<std::uint8_t>& out,
 /// (preserving the truncation/trailing-garbage sweeps).
 bool parse_trace_block(const std::uint8_t* data, std::size_t n,
                        WireTrace& out);
+
+/**
+ * The common tail of the ps and gate deserializers: what is left in
+ * `reader` must be nothing (the historical end: `out` gets no context)
+ * or exactly one well-formed trace block. False on anything in between
+ * — truncation, trailing garbage, a corrupt block.
+ */
+bool parse_trailing_trace(net::ByteReader& reader, WireTrace& out);
 
 /**
  * One NTP-style offset sample from a response's trace block:

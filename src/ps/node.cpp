@@ -39,9 +39,21 @@ pull_model(RpcClient& rpc, const ClusterConfig& config, std::size_t dim,
         pull.kind = Message::Kind::kPull;
         pull.worker = static_cast<std::uint32_t>(worker);
         const Message reply = rpc.call(s, std::move(pull));
+        // A shard process started on another problem (a different
+        // --dense DIM or --libsvm file) serves a slice of another width;
+        // copying it would write past the model replica.
+        const std::size_t begin = slice_begin(dim, config.shards, s);
+        const std::size_t width = slice_end(dim, config.shards, s) - begin;
+        if (reply.kind != Message::Kind::kModel ||
+            reply.weights.size() != width)
+            fatal("pull reply from shard " + std::to_string(s) +
+                  " does not match its slice (" +
+                  std::to_string(reply.weights.size()) + " weights, " +
+                  std::to_string(width) +
+                  " expected): do the shards and this worker train the "
+                  "same problem?");
         std::copy(reply.weights.begin(), reply.weights.end(),
-                  model.begin() + static_cast<std::ptrdiff_t>(slice_begin(
-                                      dim, config.shards, s)));
+                  model.begin() + static_cast<std::ptrdiff_t>(begin));
     }
 }
 

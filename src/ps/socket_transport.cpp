@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <thread>
 
+#include "net/bytes.h"
 #include "obs/obs.h"
 #include "ps/wire.h"
 #include "util/logging.h"
@@ -13,15 +14,6 @@ namespace {
 
 /// A frame's payload is the destination endpoint then the message.
 constexpr std::size_t kDestBytes = 4;
-
-std::uint32_t
-read_dest(const std::uint8_t* data)
-{
-    return static_cast<std::uint32_t>(data[0]) |
-           (static_cast<std::uint32_t>(data[1]) << 8) |
-           (static_cast<std::uint32_t>(data[2]) << 16) |
-           (static_cast<std::uint32_t>(data[3]) << 24);
-}
 
 } // namespace
 
@@ -114,14 +106,15 @@ SocketTransport::reader_loop(const std::shared_ptr<Connection>& connection)
         BUCKWILD_OBS_COUNT("net.frames_recv", 1);
         BUCKWILD_OBS_COUNT("net.recv_bytes",
                            net::kFrameHeaderBytes + payload.size());
-        if (payload.size() < kDestBytes) {
+        net::ByteReader reader(payload.data(), payload.size());
+        std::uint32_t dest = 0;
+        if (!reader.u32(&dest)) {
             warn("net: runt frame, dropping connection");
             break;
         }
-        const std::uint32_t dest = read_dest(payload.data());
         Message message;
-        if (!deserialize_message(payload.data() + kDestBytes,
-                                 payload.size() - kDestBytes, message)) {
+        if (!deserialize_message(reader.cursor(), reader.remaining(),
+                                 message)) {
             // A malformed message is indistinguishable from a lost one:
             // drop it and let the sender's retransmit recover.
             warn("net: malformed message frame discarded");
@@ -207,13 +200,9 @@ SocketTransport::write_message(Connection& connection, std::size_t to,
 {
     std::vector<std::uint8_t> frame;
     frame.reserve(kDestBytes + serialized_bytes(message));
-    const std::uint32_t dest = static_cast<std::uint32_t>(to);
-    frame.push_back(static_cast<std::uint8_t>(dest));
-    frame.push_back(static_cast<std::uint8_t>(dest >> 8));
-    frame.push_back(static_cast<std::uint8_t>(dest >> 16));
-    frame.push_back(static_cast<std::uint8_t>(dest >> 24));
-    const std::vector<std::uint8_t> body = serialize_message(message);
-    frame.insert(frame.end(), body.begin(), body.end());
+    net::ByteWriter writer(frame);
+    writer.u32(static_cast<std::uint32_t>(to));
+    writer.array(serialize_message(message));
 
     bool ok;
     {

@@ -1,133 +1,12 @@
 #include "ps/wire.h"
 
-#include <cstring>
+#include "net/bytes.h"
 
 namespace buckwild::ps {
 
 namespace {
 
 constexpr std::size_t kFixedBytes = 44; // through the gradient scale
-
-void
-put_u32(std::vector<std::uint8_t>& out, std::uint32_t v)
-{
-    out.push_back(static_cast<std::uint8_t>(v));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
-    out.push_back(static_cast<std::uint8_t>(v >> 16));
-    out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void
-put_u64(std::vector<std::uint8_t>& out, std::uint64_t v)
-{
-    put_u32(out, static_cast<std::uint32_t>(v));
-    put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-void
-put_f32(std::vector<std::uint8_t>& out, float v)
-{
-    std::uint32_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    put_u32(out, bits);
-}
-
-void
-put_f64(std::vector<std::uint8_t>& out, double v)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    put_u64(out, bits);
-}
-
-/// Cursor over the receive buffer; every read is bounds-checked.
-class Reader
-{
-  public:
-    Reader(const std::uint8_t* data, std::size_t n) : data_(data), n_(n) {}
-
-    bool
-    u8(std::uint8_t* out)
-    {
-        if (pos_ + 1 > n_) return false;
-        *out = data_[pos_++];
-        return true;
-    }
-
-    bool
-    u32(std::uint32_t* out)
-    {
-        if (pos_ + 4 > n_) return false;
-        *out = static_cast<std::uint32_t>(data_[pos_]) |
-               (static_cast<std::uint32_t>(data_[pos_ + 1]) << 8) |
-               (static_cast<std::uint32_t>(data_[pos_ + 2]) << 16) |
-               (static_cast<std::uint32_t>(data_[pos_ + 3]) << 24);
-        pos_ += 4;
-        return true;
-    }
-
-    bool
-    u64(std::uint64_t* out)
-    {
-        std::uint32_t lo = 0;
-        std::uint32_t hi = 0;
-        if (!u32(&lo) || !u32(&hi)) return false;
-        *out = static_cast<std::uint64_t>(lo) |
-               (static_cast<std::uint64_t>(hi) << 32);
-        return true;
-    }
-
-    bool
-    f32(float* out)
-    {
-        std::uint32_t bits = 0;
-        if (!u32(&bits)) return false;
-        std::memcpy(out, &bits, sizeof(*out));
-        return true;
-    }
-
-    bool
-    f64(double* out)
-    {
-        std::uint64_t bits = 0;
-        if (!u64(&bits)) return false;
-        std::memcpy(out, &bits, sizeof(*out));
-        return true;
-    }
-
-    bool
-    bytes(std::vector<std::uint8_t>* out, std::size_t count)
-    {
-        if (pos_ + count > n_ || pos_ + count < pos_) return false;
-        out->assign(data_ + pos_, data_ + pos_ + count);
-        pos_ += count;
-        return true;
-    }
-
-    bool done() const { return pos_ == n_; }
-    std::size_t remaining() const { return n_ - pos_; }
-    const std::uint8_t* cursor() const { return data_ + pos_; }
-
-  private:
-    const std::uint8_t* data_;
-    std::size_t n_;
-    std::size_t pos_ = 0;
-};
-
-/// A length prefix cannot exceed the remaining buffer — cheap guard
-/// against a corrupt count making the loops below spin.
-template <typename T>
-bool
-read_array(Reader& reader, std::vector<T>& out,
-           bool (Reader::*element)(T*))
-{
-    std::uint32_t count = 0;
-    if (!reader.u32(&count)) return false;
-    out.resize(count);
-    for (std::uint32_t i = 0; i < count; ++i)
-        if (!(reader.*element)(&out[i])) return false;
-    return true;
-}
 
 } // namespace
 
@@ -148,37 +27,34 @@ serialize_message(const Message& message)
 {
     std::vector<std::uint8_t> out;
     out.reserve(serialized_bytes(message));
-    out.push_back(static_cast<std::uint8_t>(message.kind));
-    out.push_back(static_cast<std::uint8_t>(
+    net::ByteWriter writer(out);
+    // Each array travels as a u32 element count, then its elements.
+    const auto counted = [&writer](const auto& values) {
+        writer.u32(static_cast<std::uint32_t>(values.size()));
+        writer.array(values);
+    };
+    writer.u8(static_cast<std::uint8_t>(message.kind));
+    writer.u8(static_cast<std::uint8_t>(
         (message.accepted ? 1u : 0u) |
         (message.gradient.sparse() ? 2u : 0u)));
-    out.push_back(static_cast<std::uint8_t>(message.gradient.kind));
-    out.push_back(static_cast<std::uint8_t>(message.gradient.bits));
-    put_u32(out, message.sender);
-    put_u32(out, message.worker);
-    put_u64(out, message.token);
-    put_u64(out, message.clock);
-    put_u64(out, message.version);
-    put_u32(out, message.gradient.count);
-    put_f32(out, message.gradient.scale);
-    put_u32(out, static_cast<std::uint32_t>(message.gradient.norms.size()));
-    for (const float norm : message.gradient.norms) put_f32(out, norm);
-    put_u32(out,
-            static_cast<std::uint32_t>(message.gradient.payload.size()));
-    out.insert(out.end(), message.gradient.payload.begin(),
-               message.gradient.payload.end());
-    put_u32(out, static_cast<std::uint32_t>(message.weights.size()));
-    for (const float w : message.weights) put_f32(out, w);
-    put_u32(out, static_cast<std::uint32_t>(message.stats.size()));
-    for (const double s : message.stats) put_f64(out, s);
+    writer.u8(static_cast<std::uint8_t>(message.gradient.kind));
+    writer.u8(static_cast<std::uint8_t>(message.gradient.bits));
+    writer.u32(message.sender);
+    writer.u32(message.worker);
+    writer.u64(message.token);
+    writer.u64(message.clock);
+    writer.u64(message.version);
+    writer.u32(message.gradient.count);
+    writer.f32(message.gradient.scale);
+    counted(message.gradient.norms);
+    counted(message.gradient.payload);
+    counted(message.weights);
+    counted(message.stats);
     // The sparse extension is flag-gated, so dense frames stay
     // byte-identical to the pre-sparse wire format.
     if (message.gradient.sparse()) {
-        put_u32(out, message.gradient.dim);
-        put_u32(out, static_cast<std::uint32_t>(
-                         message.gradient.index_payload.size()));
-        out.insert(out.end(), message.gradient.index_payload.begin(),
-                   message.gradient.index_payload.end());
+        writer.u32(message.gradient.dim);
+        counted(message.gradient.index_payload);
     }
     // The optional trace block rides strictly last and only when a
     // context exists, so tracing-off output is byte-identical to the
@@ -190,7 +66,13 @@ serialize_message(const Message& message)
 bool
 deserialize_message(const std::uint8_t* data, std::size_t n, Message& out)
 {
-    Reader reader(data, n);
+    net::ByteReader reader(data, n);
+    // The u32-counted arrays: array() rejects a count larger than the
+    // bytes left before it allocates anything.
+    const auto counted = [&reader](auto* values) {
+        std::uint32_t count = 0;
+        return reader.u32(&count) && reader.array(values, count);
+    };
     std::uint8_t kind = 0;
     std::uint8_t flags = 0;
     std::uint8_t codec_kind = 0;
@@ -215,34 +97,21 @@ deserialize_message(const std::uint8_t* data, std::size_t n, Message& out)
         !reader.u64(&out.version) || !reader.u32(&out.gradient.count) ||
         !reader.f32(&out.gradient.scale))
         return false;
-    if (!read_array(reader, out.gradient.norms, &Reader::f32)) return false;
-    {
-        std::uint32_t payload_size = 0;
-        if (!reader.u32(&payload_size)) return false;
-        if (!reader.bytes(&out.gradient.payload, payload_size))
-            return false;
-    }
-    if (!read_array(reader, out.weights, &Reader::f32)) return false;
-    if (!read_array(reader, out.stats, &Reader::f64)) return false;
+    if (!counted(&out.gradient.norms) || !counted(&out.gradient.payload) ||
+        !counted(&out.weights) || !counted(&out.stats))
+        return false;
     out.gradient.dim = 0;
     out.gradient.index_payload.clear();
     if (sparse) {
-        std::uint32_t index_size = 0;
         if (!reader.u32(&out.gradient.dim)) return false;
         if (out.gradient.dim == 0) return false;
-        if (!reader.u32(&index_size)) return false;
-        if (!reader.bytes(&out.gradient.index_payload, index_size))
-            return false;
+        if (!counted(&out.gradient.index_payload)) return false;
     }
     // Trailing bytes are legal in exactly one shape: one well-formed
     // trace block. An old-format frame ends here (no context); anything
     // else — truncation, a lone pad byte, a corrupt block — stays a
     // parse failure.
-    out.trace = obs::WireTrace{};
-    if (reader.done()) return true;
-    if (reader.remaining() != obs::kTraceBlockBytes) return false;
-    return obs::parse_trace_block(reader.cursor(), reader.remaining(),
-                                  out.trace);
+    return obs::parse_trailing_trace(reader, out.trace);
 }
 
 } // namespace buckwild::ps

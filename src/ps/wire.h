@@ -45,8 +45,10 @@
  * bit-identically in another — the cross-process bit-identity the golden
  * tests in tests/test_net.cpp pin down.
  *
- * deserialize_message() is defensive: every length is bounds-checked
- * against the buffer before reading, and a malformed buffer returns
+ * Both directions go through the net/bytes.h codec, so every array
+ * moves with one memcpy. deserialize_message() is defensive: every read
+ * is bounds-checked, every array count is checked against the bytes
+ * left *before* anything is allocated, and a malformed buffer returns
  * false rather than throwing — the socket transport drops the frame and
  * lets the RPC layer's retransmit recover.
  */

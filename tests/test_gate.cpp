@@ -27,6 +27,7 @@
 #include "obs/tracectx.h"
 #include "serve/serve.h"
 #include "test_common.h"
+#include "wire_fuzz.h"
 
 namespace buckwild {
 namespace {
@@ -93,6 +94,65 @@ TEST(GateWire, ResponseGoldenBytes)
     };
     ASSERT_EQ(bytes.size(), sizeof(expected));
     EXPECT_EQ(std::memcmp(bytes.data(), expected, sizeof(expected)), 0);
+}
+
+gate::ScoreRequest
+golden_dense_request()
+{
+    gate::ScoreRequest request = sample_request();
+    request.dense = {0.5f, -2.0f, 3.25f};
+    return request;
+}
+
+TEST(GateWire, DenseRequestGoldenBytes)
+{
+    // Several features pin the order and endianness of every element of
+    // the feature array, not just the first.
+    const std::vector<std::uint8_t> expected = {
+        0x01, 0x00, 0x01, 0x00, // kind, kDenseF32, kBatch, reserved
+        0x88, 0x77, 0x66, 0x55, // request id
+        0x44, 0x33, 0x22, 0x11,
+        0xe8, 0x03, 0x00, 0x00, // deadline_us = 1000
+        0x00, 0x00, 0x00, 0x00, // scale = 0.0f
+        0x01, 0x00, 0x01, 0x00, // model / tenant lengths
+        0x03, 0x00, 0x00, 0x00, // feature count
+        'm',  't',
+        0x00, 0x00, 0x00, 0x3f, // 0.5f
+        0x00, 0x00, 0x00, 0xc0, // -2.0f
+        0x00, 0x00, 0x50, 0x40, // 3.25f
+    };
+    EXPECT_EQ(serialize(golden_dense_request()), expected);
+}
+
+gate::ScoreRequest
+golden_sparse_request()
+{
+    gate::ScoreRequest request = sample_request();
+    request.encoding = gate::FeatureEncoding::kSparseF32;
+    request.index = {3, 99, 100000};
+    request.dense = {1.0f, -1.0f, 0.25f};
+    return request;
+}
+
+TEST(GateWire, SparseRequestGoldenBytes)
+{
+    const std::vector<std::uint8_t> expected = {
+        0x01, 0x02, 0x01, 0x00, // kind, kSparseF32, kBatch, reserved
+        0x88, 0x77, 0x66, 0x55, // request id
+        0x44, 0x33, 0x22, 0x11,
+        0xe8, 0x03, 0x00, 0x00, // deadline_us = 1000
+        0x00, 0x00, 0x00, 0x00, // scale = 0.0f
+        0x01, 0x00, 0x01, 0x00, // model / tenant lengths
+        0x03, 0x00, 0x00, 0x00, // feature count
+        'm',  't',
+        0x03, 0x00, 0x00, 0x00, // coordinates: 3
+        0x63, 0x00, 0x00, 0x00, //   99
+        0xa0, 0x86, 0x01, 0x00, //   100000
+        0x00, 0x00, 0x80, 0x3f, // values: 1.0f
+        0x00, 0x00, 0x80, 0xbf, //   -1.0f
+        0x00, 0x00, 0x80, 0x3e, //   0.25f
+    };
+    EXPECT_EQ(serialize(golden_sparse_request()), expected);
 }
 
 TEST(GateWire, RoundTripsEveryEncoding)
@@ -178,6 +238,65 @@ TEST(GateWire, RejectsCorruptFields)
     std::vector<std::uint8_t> lying = good;
     lying[24] = 0x10; // claims 16 features, carries 1
     EXPECT_FALSE(gate::deserialize(lying.data(), lying.size(), out));
+}
+
+/// Parses one mutant; on acceptance asserts it re-serializes to exactly
+/// its bytes and parses again to the same message.
+template <typename Message>
+bool
+gate_round_trip(const std::vector<std::uint8_t>& bytes)
+{
+    Message first;
+    if (!gate::deserialize(bytes.data(), bytes.size(), first)) return false;
+    const std::vector<std::uint8_t> again = serialize(first);
+    EXPECT_EQ(again, bytes);
+    Message second;
+    EXPECT_TRUE(gate::deserialize(again.data(), again.size(), second));
+    EXPECT_EQ(serialize(second), again);
+    return true;
+}
+
+TEST(GateWire, MutationFuzzKeepsRequestDecoderTotal)
+{
+    gate::ScoreRequest q8 = sample_request();
+    q8.encoding = gate::FeatureEncoding::kDenseQ8;
+    q8.dense.clear();
+    q8.q8 = {-127, 0, 64, 127};
+    q8.scale = 0.03125f;
+    gate::ScoreRequest traced = golden_sparse_request();
+    traced.trace.ctx = obs::make_root_context();
+    traced.trace.send_ts_ns = 42;
+    // Model name length, tenant length, feature count.
+    const std::vector<testutil::CountField> counts = {
+        {20, 2}, {22, 2}, {24, 4}};
+    std::vector<testutil::FuzzSeed> seeds;
+    for (const gate::ScoreRequest& request :
+         {sample_request(), golden_dense_request(), golden_sparse_request(),
+          q8, traced})
+        seeds.push_back({serialize(request), counts});
+    EXPECT_GT(testutil::fuzz_decoder(seeds, 3000, 0x6A7E,
+                                     gate_round_trip<gate::ScoreRequest>),
+              1000u);
+}
+
+TEST(GateWire, MutationFuzzKeepsResponseDecoderTotal)
+{
+    gate::ScoreResponse response;
+    response.request_id = 7;
+    response.status = gate::Status::kResourceExhausted;
+    response.margin = 1.0f;
+    response.model_version = 3;
+    response.message = "queue full";
+    gate::ScoreResponse traced = response;
+    traced.trace.ctx = obs::make_root_context();
+    traced.trace.echo_send_ts_ns = 11;
+    traced.trace.echo_recv_ts_ns = 22;
+    const std::vector<testutil::CountField> counts = {{32, 2}};
+    const std::vector<testutil::FuzzSeed> seeds = {
+        {serialize(response), counts}, {serialize(traced), counts}};
+    EXPECT_GT(testutil::fuzz_decoder(seeds, 3000, 0x6A7F,
+                                     gate_round_trip<gate::ScoreResponse>),
+              500u);
 }
 
 TEST(GateWire, TraceBlockRoundTripsOnRequestAndResponse)

@@ -29,6 +29,7 @@
 #include "rng/xorshift.h"
 #include "test_common.h"
 #include "util/thread_pool.h"
+#include "wire_fuzz.h"
 
 namespace buckwild {
 namespace {
@@ -126,6 +127,24 @@ TEST(NetFrame, RoundTripsPayloads)
                                   net::kDefaultMaxFrameBytes),
                   net::FrameResult::kOk);
         EXPECT_EQ(out, payload);
+    }
+}
+
+TEST(NetFrame, MakeFrameMatchesWriteFrameBytes)
+{
+    // The one-buffer frame (gate replies) and the two-send frame must be
+    // the same bytes on the wire.
+    SocketPair pair;
+    for (const std::size_t size : {std::size_t{0}, std::size_t{7},
+                                   std::size_t{4096}}) {
+        std::vector<std::uint8_t> payload(size);
+        for (std::size_t i = 0; i < size; ++i)
+            payload[i] = static_cast<std::uint8_t>(i * 13 + 1);
+        ASSERT_TRUE(
+            net::write_frame(pair.a.get(), payload.data(), payload.size()));
+        std::vector<std::uint8_t> wire(net::kFrameHeaderBytes + size);
+        ASSERT_TRUE(net::read_full(pair.b.get(), wire.data(), wire.size()));
+        EXPECT_EQ(net::make_frame(payload), wire) << size << "-byte payload";
     }
 }
 
@@ -291,6 +310,95 @@ TEST(NetWire, GoldenAckBytes)
         0, 0, 0, 0,                       // stats count
     };
     EXPECT_EQ(bytes, golden);
+}
+
+Message
+golden_model_reply()
+{
+    Message m;
+    m.kind = Message::Kind::kModel;
+    m.sender = 1;
+    m.worker = 4;
+    m.token = 0x11;
+    m.version = 258;
+    m.weights = {1.0f, -2.0f, 0.5f};
+    return m;
+}
+
+TEST(NetWire, GoldenModelReplyBytes)
+{
+    // A pull reply's weights are the largest array on the wire: pins
+    // every element's order and endianness, not just the count.
+    const std::vector<std::uint8_t> golden = {
+        3, 1, 0, 32,                      // kind=kModel, accepted, Cs32
+        1, 0, 0, 0,                       // sender
+        4, 0, 0, 0,                       // worker
+        0x11, 0, 0, 0, 0, 0, 0, 0,        // token
+        0, 0, 0, 0, 0, 0, 0, 0,           // clock
+        2, 1, 0, 0, 0, 0, 0, 0,           // version 258
+        0, 0, 0, 0,                       // gradient count
+        0, 0, 0, 0,                       // gradient scale
+        0, 0, 0, 0,                       // norm count
+        0, 0, 0, 0,                       // payload size
+        3, 0, 0, 0,                       // weight count
+        0x00, 0x00, 0x80, 0x3F,           // 1.0f
+        0x00, 0x00, 0x00, 0xC0,           // -2.0f
+        0x00, 0x00, 0x00, 0x3F,           // 0.5f
+        0, 0, 0, 0,                       // stats count
+    };
+    EXPECT_EQ(ps::serialize_message(golden_model_reply()), golden);
+}
+
+Message
+golden_stats_reply()
+{
+    Message m;
+    m.kind = Message::Kind::kStats;
+    m.sender = 0;
+    m.worker = 2;
+    m.token = 5;
+    m.stats = {1.0, -0.5, 3.0};
+    return m;
+}
+
+TEST(NetWire, GoldenStatsReplyBytes)
+{
+    const std::vector<std::uint8_t> golden = {
+        5, 1, 0, 32,                      // kind=kStats, accepted, Cs32
+        0, 0, 0, 0,                       // sender
+        2, 0, 0, 0,                       // worker
+        5, 0, 0, 0, 0, 0, 0, 0,           // token
+        0, 0, 0, 0, 0, 0, 0, 0,           // clock
+        0, 0, 0, 0, 0, 0, 0, 0,           // version
+        0, 0, 0, 0,                       // gradient count
+        0, 0, 0, 0,                       // gradient scale
+        0, 0, 0, 0,                       // norm count
+        0, 0, 0, 0,                       // payload size
+        0, 0, 0, 0,                       // weight count
+        3, 0, 0, 0,                       // stats count
+        0, 0, 0, 0, 0, 0, 0xF0, 0x3F,     // 1.0
+        0, 0, 0, 0, 0, 0, 0xE0, 0xBF,     // -0.5
+        0, 0, 0, 0, 0, 0, 0x08, 0x40,     // 3.0
+    };
+    EXPECT_EQ(ps::serialize_message(golden_stats_reply()), golden);
+}
+
+TEST(NetWire, HugeArrayCountsFailBeforeAllocating)
+{
+    // A 60-byte kModel frame whose norm, weight or stats count claims
+    // 2^32-1 elements: the parse must fail on the count, not try to
+    // allocate 16-32 GiB first.
+    Message m;
+    m.kind = Message::Kind::kModel;
+    const std::vector<std::uint8_t> plain = ps::serialize_message(m);
+    ASSERT_EQ(plain.size(), 60u);
+    for (const std::size_t count_at : {44u, 52u, 56u}) {
+        std::vector<std::uint8_t> bytes = plain;
+        std::fill_n(bytes.begin() + static_cast<long>(count_at), 4, 0xFF);
+        Message out;
+        EXPECT_FALSE(ps::deserialize_message(bytes.data(), bytes.size(), out))
+            << "count at offset " << count_at;
+    }
 }
 
 TEST(NetWire, RejectsTruncationAndTrailingGarbage)
@@ -641,6 +749,97 @@ TEST(NetGolden, SparseCs8MessageBytes)
         0x21, 0xC0,              // gamma(4) gamma(7)
     };
     EXPECT_EQ(bytes, golden);
+}
+
+Message
+golden_qsgd_push()
+{
+    // The CsQ4PayloadBytes gradient (one bucket, norm 5) as a push.
+    const float g[4] = {5.0f, 0.0f, 0.0f, 0.0f};
+    float residual[4] = {};
+    rng::Xorshift128Plus rng(123);
+    Message m;
+    m.kind = Message::Kind::kPush;
+    m.sender = 2;
+    m.worker = 3;
+    m.token = 0x0102030405060708ull;
+    m.clock = 9;
+    m.version = 10;
+    m.gradient =
+        ps::encode_gradient(g, 4, ps::Codec::qsgd(4), residual, &rng);
+    return m;
+}
+
+TEST(NetGolden, CsQ4PushMessageBytes)
+{
+    // A CsQ push is the one message carrying the per-bucket norm array.
+    const std::vector<std::uint8_t> golden = {
+        0, 1, 3, 4,              // kind=kPush, accepted, CsQ4 codec
+        2, 0, 0, 0,              // sender
+        3, 0, 0, 0,              // worker
+        8, 7, 6, 5, 4, 3, 2, 1,  // token (LE)
+        9, 0, 0, 0, 0, 0, 0, 0,  // clock
+        10, 0, 0, 0, 0, 0, 0, 0, // version
+        4, 0, 0, 0,              // gradient count
+        0, 0, 0, 0,              // scale (unused by QSGD)
+        1, 0, 0, 0,              // norm count
+        0x00, 0x00, 0xA0, 0x40,  // norm 5.0f
+        3, 0, 0, 0,              // payload size
+        0x00, 0x11, 0xC0,        // sign bitmap, gamma levels
+        0, 0, 0, 0,              // weight count
+        0, 0, 0, 0,              // stats count
+    };
+    EXPECT_EQ(ps::serialize_message(golden_qsgd_push()), golden);
+}
+
+/// A serialized message plus the offsets of its gradient count and of
+/// every u32 array count / length prefix (ps/wire.h layout).
+testutil::FuzzSeed
+ps_fuzz_seed(const Message& m)
+{
+    testutil::FuzzSeed seed{ps::serialize_message(m), {{36, 4}}};
+    std::size_t at = 44;
+    for (const std::size_t bytes :
+         {m.gradient.norms.size() * 4, m.gradient.payload.size(),
+          m.weights.size() * 4, m.stats.size() * 8}) {
+        seed.counts.push_back({at, 4});
+        at += 4 + bytes;
+    }
+    if (m.gradient.sparse()) {
+        seed.counts.push_back({at, 4});     // dimension
+        seed.counts.push_back({at + 4, 4}); // index payload size
+    }
+    return seed;
+}
+
+TEST(NetGolden, MutationFuzzKeepsDecoderTotal)
+{
+    Message traced = golden_qsgd_push();
+    traced.trace.ctx = obs::make_root_context();
+    traced.trace.send_ts_ns = 42;
+    Message traced_sparse = sample_sparse_push();
+    traced_sparse.trace = traced.trace;
+    std::vector<testutil::FuzzSeed> seeds;
+    for (const Message& m :
+         {Message{}, golden_model_reply(), golden_stats_reply(),
+          golden_qsgd_push(), sample_sparse_push(), traced, traced_sparse})
+        seeds.push_back(ps_fuzz_seed(m));
+
+    const std::size_t accepted = testutil::fuzz_decoder(
+        seeds, 3000, 0xF022, [](const std::vector<std::uint8_t>& bytes) {
+            Message first;
+            if (!ps::deserialize_message(bytes.data(), bytes.size(), first))
+                return false;
+            const std::vector<std::uint8_t> again =
+                ps::serialize_message(first);
+            EXPECT_EQ(again, bytes);
+            Message second;
+            EXPECT_TRUE(
+                ps::deserialize_message(again.data(), again.size(), second));
+            EXPECT_EQ(ps::serialize_message(second), again);
+            return true;
+        });
+    EXPECT_GT(accepted, 1000u);
 }
 
 // ========================================================== NetQsgd

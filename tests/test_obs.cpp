@@ -29,6 +29,7 @@
 #include "obs/tracectx.h"
 #include "test_common.h"
 #include "util/stats.h"
+#include "wire_fuzz.h"
 
 namespace buckwild {
 namespace {
@@ -335,6 +336,34 @@ TEST(ObsTraceCtx, WireBlockRoundTripAndRejections)
     bad = bytes;
     std::fill(bad.begin() + 2, bad.begin() + 18, 0); // zero trace id
     EXPECT_FALSE(obs::parse_trace_block(bad.data(), bad.size(), out));
+}
+
+TEST(ObsTraceCtx, WireBlockMutationFuzzKeepsParserTotal)
+{
+    obs::WireTrace in;
+    in.ctx = obs::make_root_context();
+    in.send_ts_ns = 1234567;
+    in.echo_send_ts_ns = 7;
+    in.echo_recv_ts_ns = 9;
+    testutil::FuzzSeed seed;
+    obs::append_trace_block(seed.bytes, in);
+    const std::size_t accepted = testutil::fuzz_decoder(
+        {seed}, 3000, 0x7ACE, [](const std::vector<std::uint8_t>& bytes) {
+            obs::WireTrace first;
+            if (!obs::parse_trace_block(bytes.data(), bytes.size(), first))
+                return false;
+            std::vector<std::uint8_t> again;
+            obs::append_trace_block(again, first);
+            EXPECT_EQ(again, bytes);
+            obs::WireTrace second;
+            EXPECT_TRUE(
+                obs::parse_trace_block(again.data(), again.size(), second));
+            std::vector<std::uint8_t> third;
+            obs::append_trace_block(third, second);
+            EXPECT_EQ(third, again);
+            return true;
+        });
+    EXPECT_GT(accepted, 1000u);
 }
 
 TEST(ObsTraceCtx, ClockSampleFromReply)

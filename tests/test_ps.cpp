@@ -1011,6 +1011,50 @@ TEST(PsCluster, DeterministicReplayRepeatsMetricCounters)
                      snap_b.gauges.at("ps.numbers"));
 }
 
+TEST(PsCluster, WorkerRejectsPullReplyThatDoesNotMatchItsSlice)
+{
+    // A fake shard answers every pull with one weight too many (a shard
+    // process started on a wider problem), or with the right width under
+    // the wrong kind. The worker must stop and name the shard instead of
+    // copying the reply past the end of its model replica.
+    const auto& problem = cluster_problem();
+    ps::ClusterConfig cfg = cluster_config(32);
+    cfg.shards = 1;
+    cfg.workers = 1;
+    struct BadReply
+    {
+        ps::Message::Kind kind;
+        std::size_t weights;
+    };
+    for (const BadReply bad : {BadReply{ps::Message::Kind::kModel,
+                                        problem.dim + 1},
+                               BadReply{ps::Message::Kind::kAck,
+                                        problem.dim}}) {
+        ps::InProcTransport transport(ps::cluster_endpoints(cfg));
+        std::thread fake_shard([&] {
+            ps::Message request;
+            while (transport.recv(0, request,
+                                  std::chrono::milliseconds(5000))) {
+                ps::Message reply;
+                reply.kind = bad.kind;
+                reply.token = request.token;
+                reply.weights.assign(bad.weights, 0.0f);
+                transport.send(request.sender, std::move(reply));
+            }
+        });
+        try {
+            ps::run_worker_rounds(cfg, problem, 0, transport, nullptr);
+            ADD_FAILURE() << "worker accepted a mismatched pull reply";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find("shard 0"),
+                      std::string::npos)
+                << e.what();
+        }
+        transport.close();
+        fake_shard.join();
+    }
+}
+
 TEST(PsCluster, RejectsBadConfig)
 {
     const auto& problem = cluster_problem();

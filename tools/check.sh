@@ -3,9 +3,11 @@
 # on):
 #
 #   0. lint: no quantization/rounding primitive outside src/lowp/
-#      (tools/lint_quantizers.sh);
+#      (tools/lint_quantizers.sh) and no byte-codec helper outside
+#      src/net/bytes.h (tools/lint_codec.sh);
 #   1. build the whole tree under ASan+UBSan and run the full gtest suite
-#      (including test_lowp's cross-layer bit-identity goldens);
+#      (including test_lowp's cross-layer bit-identity goldens and the
+#      fixed-seed mutation fuzz of the ps, gate and trace-block decoders);
 #   2. build under TSan and run test_serve + test_ps + test_net +
 #      test_obs + test_live + test_gate, which exercise the registry
 #      hot-swap, the request queue, the serving worker loop, the
@@ -30,8 +32,9 @@ while getopts "j:" opt; do
   esac
 done
 
-echo "== lint: substrate is the only quantizer =="
+echo "== lint: substrate is the only quantizer, net/bytes.h the only byte codec =="
 tools/lint_quantizers.sh
+tools/lint_codec.sh
 
 echo "== ASan+UBSan: full suite =="
 cmake --preset asan
