@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ps/gradient_view.h"
 #include "ps/quantize.h"
 #include "util/logging.h"
 
@@ -95,193 +94,6 @@ train_comm_sgd(const dataset::DenseProblem& problem,
     }
     result.final_loss =
         result.loss_trace.empty() ? eval() : result.loss_trace.back();
-    return result;
-}
-
-CommSgdResult
-train_comm_sgd(const dataset::SparseProblem& problem,
-               const CommSgdConfig& cfg)
-{
-    if (cfg.workers == 0) fatal("workers must be >= 1");
-    if (cfg.batch_per_worker == 0) fatal("batch_per_worker must be >= 1");
-    ps::validate_comm_bits(cfg.comm_bits);
-    if (!(cfg.step_size > 0.0f)) fatal("step_size must be positive");
-    if (!(cfg.step_decay > 0.0f)) fatal("step_decay must be positive");
-    if (cfg.workers * cfg.batch_per_worker > problem.examples())
-        fatal("one exchange round needs workers * batch_per_worker <= " +
-              std::to_string(problem.examples()) + " examples");
-
-    const std::size_t n = problem.dim;
-    const ps::Codec codec = ps::Codec::from_bits(cfg.comm_bits);
-    std::vector<float> model(n, 0.0f);
-    // Per-worker *sparse* error-feedback residual: the coordinates this
-    // worker has exchanged with nonzero untransmitted remainder.
-    std::vector<std::vector<std::uint32_t>> residual_index(cfg.workers);
-    std::vector<std::vector<float>> residual_value(cfg.workers);
-
-    CommSgdResult result;
-    result.signature = cfg.comm_bits == 32
-        ? "Cs32"
-        : "Cs" + std::to_string(cfg.comm_bits);
-
-    auto eval = [&] {
-        double total = 0.0;
-        std::size_t correct = 0;
-        for (std::size_t i = 0; i < problem.examples(); ++i) {
-            const dataset::SparseRow& x = problem.rows[i];
-            double z = 0.0;
-            for (std::size_t j = 0; j < x.index.size(); ++j)
-                z += static_cast<double>(model[x.index[j]]) *
-                     static_cast<double>(x.value[j]);
-            const float zf = static_cast<float>(z);
-            total += loss_value(cfg.loss, zf, problem.y[i]);
-            if (loss_correct(cfg.loss, zf, problem.y[i])) ++correct;
-        }
-        result.accuracy = static_cast<double>(correct) /
-                          static_cast<double>(problem.examples());
-        return total / static_cast<double>(problem.examples());
-    };
-
-    const std::size_t round_examples = cfg.workers * cfg.batch_per_worker;
-    float eta = cfg.step_size;
-    // Touched-coordinate scratch (per worker) and the round's reduced
-    // gradient over the union of worker supports.
-    std::vector<float> acc(n, 0.0f);
-    std::vector<std::uint8_t> in_support(n, 0);
-    std::vector<std::uint32_t> touched;
-    std::vector<float> reduced(n, 0.0f);
-    std::vector<std::uint8_t> in_round(n, 0);
-    std::vector<std::uint32_t> round_touched;
-    // The exchanged stream: delta-encoded u16 index gaps (paper footnote
-    // 6), with explicit zero-valued padding entries where a gap overflows
-    // the rep.
-    constexpr std::uint32_t kMaxGap = 65535;
-    std::vector<std::uint16_t> delta_index;
-    std::vector<float> delta_value;
-    std::vector<float> entry_residual;
-    std::uint64_t exchanged_bytes = 0;
-    std::uint64_t exchanges = 0;
-
-    for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
-        for (std::size_t base = 0;
-             base + round_examples <= problem.examples();
-             base += round_examples) {
-            for (std::size_t w = 0; w < cfg.workers; ++w) {
-                // Worker w's shard of this round's examples, accumulated
-                // over only the touched coordinates.
-                for (std::size_t b = 0; b < cfg.batch_per_worker; ++b) {
-                    const std::size_t i =
-                        base + w * cfg.batch_per_worker + b;
-                    const dataset::SparseRow& x = problem.rows[i];
-                    float z = 0.0f;
-                    for (std::size_t j = 0; j < x.index.size(); ++j)
-                        z += model[x.index[j]] * x.value[j];
-                    const float g =
-                        loss_gradient_coefficient(cfg.loss, z, problem.y[i]);
-                    if (g == 0.0f) continue;
-                    for (std::size_t j = 0; j < x.index.size(); ++j) {
-                        const std::uint32_t k = x.index[j];
-                        if (!in_support[k]) {
-                            in_support[k] = 1;
-                            touched.push_back(k);
-                        }
-                        acc[k] += g * x.value[j];
-                    }
-                }
-                // Error feedback: the carried sparse residual joins the
-                // support before quantizing, as in Seide et al.
-                if (cfg.error_feedback)
-                    for (std::size_t j = 0; j < residual_index[w].size();
-                         ++j) {
-                        const std::uint32_t k = residual_index[w][j];
-                        if (!in_support[k]) {
-                            in_support[k] = 1;
-                            touched.push_back(k);
-                        }
-                        acc[k] += residual_value[w][j];
-                    }
-                std::sort(touched.begin(), touched.end());
-
-                // Delta-encode the support into the u16 index rep.
-                delta_index.clear();
-                delta_value.clear();
-                std::uint32_t prev = 0;
-                for (const std::uint32_t k : touched) {
-                    std::uint32_t gap = k - prev;
-                    while (gap > kMaxGap) {
-                        delta_index.push_back(
-                            static_cast<std::uint16_t>(kMaxGap));
-                        delta_value.push_back(0.0f);
-                        gap -= kMaxGap;
-                    }
-                    delta_index.push_back(static_cast<std::uint16_t>(gap));
-                    delta_value.push_back(acc[k]);
-                    prev = k;
-                }
-                const std::size_t count = delta_index.size();
-                entry_residual.assign(count, 0.0f);
-                const ps::GradientView view =
-                    ps::GradientView::sparse_view<std::uint16_t>(
-                        delta_value.data(), delta_index.data(), count,
-                        static_cast<std::uint32_t>(n),
-                        simd::sparse::IndexMode::kDelta);
-                // The real wire round-trip — what a worker would send.
-                const ps::WireGradient wire = ps::encode_sparse_gradient(
-                    view, codec,
-                    cfg.error_feedback ? entry_residual.data() : nullptr,
-                    nullptr);
-                exchanged_bytes += wire.wire_bytes();
-                ++exchanges;
-                const ps::SparseGradient q =
-                    ps::decode_sparse_gradient(wire);
-                for (std::size_t j = 0; j < q.nnz(); ++j) {
-                    const std::uint32_t k = q.index[j];
-                    if (!in_round[k]) {
-                        in_round[k] = 1;
-                        round_touched.push_back(k);
-                    }
-                    reduced[k] += q.value[j];
-                }
-                if (cfg.error_feedback) {
-                    residual_index[w].clear();
-                    residual_value[w].clear();
-                    std::size_t cursor = 0;
-                    for (std::size_t j = 0; j < count; ++j) {
-                        cursor += delta_index[j];
-                        if (entry_residual[j] != 0.0f) {
-                            residual_index[w].push_back(
-                                static_cast<std::uint32_t>(cursor));
-                            residual_value[w].push_back(entry_residual[j]);
-                        }
-                    }
-                }
-                for (const std::uint32_t k : touched) {
-                    acc[k] = 0.0f;
-                    in_support[k] = 0;
-                }
-                touched.clear();
-            }
-            // Synchronous model update from the all-reduced gradient,
-            // over only the union of the workers' supports.
-            const float scale = eta / static_cast<float>(round_examples);
-            for (const std::uint32_t k : round_touched) {
-                model[k] -= scale * reduced[k];
-                reduced[k] = 0.0f;
-                in_round[k] = 0;
-            }
-            round_touched.clear();
-            ++result.rounds;
-        }
-        eta *= cfg.step_decay;
-        result.loss_trace.push_back(eval());
-    }
-    result.final_loss =
-        result.loss_trace.empty() ? eval() : result.loss_trace.back();
-    result.bytes_per_round =
-        exchanges > 0 ? static_cast<double>(exchanged_bytes) *
-                            static_cast<double>(cfg.workers) /
-                            static_cast<double>(exchanges)
-                      : 0.0;
     return result;
 }
 

@@ -65,19 +65,9 @@ struct CommSgdResult
 };
 
 /// Runs synchronous data-parallel SGD with quantized gradient exchange.
+/// Sparse rows train through the executed cluster (ps::train_cluster),
+/// which runs dense and sparse problems through one worker loop.
 CommSgdResult train_comm_sgd(const dataset::DenseProblem& problem,
-                             const CommSgdConfig& config);
-
-/**
- * The sparse-workload sibling: each worker accumulates its mini-batch
- * gradient over only the touched coordinates, carries a *sparse*
- * error-feedback residual, and exchanges a quantized sparse gradient —
- * a ps::GradientView with delta-encoded low-precision (u16) indices,
- * zero-padded where a gap overflows the rep (paper footnote 6) — through
- * the real wire codec round-trip. bytes_per_round is measured from the
- * encoded frames (sparse traffic is nnz-dependent at every tier).
- */
-CommSgdResult train_comm_sgd(const dataset::SparseProblem& problem,
                              const CommSgdConfig& config);
 
 } // namespace buckwild::core

@@ -14,15 +14,10 @@ namespace buckwild::ps {
 
 namespace {
 
-template <typename Problem>
-ClusterResult
-train_cluster_impl(const Problem& problem, const ClusterConfig& config,
-                   serve::ModelRegistry* registry)
+/// The parameter-server part of a cluster configuration.
+PsConfig
+ps_config_of(const ClusterConfig& config)
 {
-    if (config.rounds == 0) fatal("rounds must be >= 1");
-    if (detail::example_count(problem) < config.workers)
-        fatal("need at least one example per worker");
-
     PsConfig ps_cfg;
     ps_cfg.shards = config.shards;
     ps_cfg.workers = config.workers;
@@ -33,10 +28,28 @@ train_cluster_impl(const Problem& problem, const ClusterConfig& config,
     ps_cfg.loss = config.loss;
     ps_cfg.impl = config.impl;
     ps_cfg.faults = config.faults;
+    return ps_cfg;
+}
 
-    // Construction validates the whole configuration (throws on bad
-    // shards / codec / step_size / batch).
-    ParameterServer server(problem.dim, ps_cfg);
+} // namespace
+
+template <typename Problem>
+void
+validate_cluster_config(const Problem& problem, const ClusterConfig& config)
+{
+    if (config.rounds == 0) fatal("rounds must be >= 1");
+    if (detail::example_count(problem) < config.workers)
+        fatal("need at least one example per worker");
+    validate_ps_config(problem.dim, ps_config_of(config));
+}
+
+template <typename Problem>
+ClusterResult
+train_cluster(const Problem& problem, const ClusterConfig& config,
+              serve::ModelRegistry* registry)
+{
+    validate_cluster_config(problem, config);
+    ParameterServer server(problem.dim, ps_config_of(config));
 
     const std::size_t workers = config.workers;
 
@@ -45,6 +58,10 @@ train_cluster_impl(const Problem& problem, const ClusterConfig& config,
 
     std::atomic<std::uint64_t> rounds_done{0};
     std::vector<WorkerStats> worker_stats(workers);
+    const auto checkpoint = [&] {
+        return make_cluster_checkpoint(config, server.snapshot(),
+                                       detail::is_sparse_workload(problem));
+    };
 
     Stopwatch wall;
     server.start();
@@ -71,7 +88,7 @@ train_cluster_impl(const Problem& problem, const ClusterConfig& config,
     while (rounds_done.load(std::memory_order_acquire) < total_rounds) {
         if (rounds_done.load(std::memory_order_acquire) >= next_publish) {
             result.published_versions.push_back(
-                server.publish(*registry, config.publish_precision));
+                registry->publish(checkpoint(), config.publish_precision));
             while (next_publish <=
                    rounds_done.load(std::memory_order_acquire))
                 next_publish += config.publish_every;
@@ -83,56 +100,27 @@ train_cluster_impl(const Problem& problem, const ClusterConfig& config,
 
     // Final state: snapshot it once, publish that exact version (the one
     // a serving cluster ends on), evaluate it, then stop the shards.
-    result.checkpoint = detail::is_sparse_workload(problem)
-        ? make_cluster_checkpoint(config, server.snapshot(), true)
-        : server.checkpoint();
+    result.checkpoint = checkpoint();
     if (registry != nullptr)
         result.published_versions.push_back(
             registry->publish(result.checkpoint, config.publish_precision));
     result.wall_seconds = wall.seconds();
     server.stop();
 
-    evaluate_model(problem, config.loss, result.checkpoint.weights,
-                   &result.final_loss, &result.accuracy);
-    result.rounds = rounds_done.load(std::memory_order_acquire);
-
     result.metrics = server.metrics();
-    std::uint64_t encoded_total = 0;
-    for (std::size_t w = 0; w < workers; ++w) {
-        result.metrics.worker_seconds += worker_stats[w].seconds;
-        result.metrics.rpc_retries += worker_stats[w].retries;
-        encoded_total += worker_stats[w].encoded_bytes;
-    }
-    result.metrics.numbers = static_cast<double>(result.rounds) *
-                             static_cast<double>(config.batch) *
-                             detail::numbers_per_example(problem);
-    // Sparse pushes are nnz-dependent at every tier, so their traffic is
-    // always measured; dense fixed-size codecs stay statically computed.
-    const bool measured = config.codec.kind == CodecKind::kQsgd ||
-                          detail::is_sparse_workload(problem);
-    result.bytes_per_round =
-        measured ? (result.rounds > 0
-                        ? static_cast<double>(encoded_total) /
-                              static_cast<double>(result.rounds)
-                        : 0.0)
-                 : fixed_bytes_per_round(config, problem.dim);
+    detail::finish_cluster_result(problem, config, worker_stats, result);
     return result;
 }
 
-} // namespace
-
-ClusterResult
-train_cluster(const dataset::DenseProblem& problem,
-              const ClusterConfig& config, serve::ModelRegistry* registry)
-{
-    return train_cluster_impl(problem, config, registry);
-}
-
-ClusterResult
-train_cluster(const dataset::SparseProblem& problem,
-              const ClusterConfig& config, serve::ModelRegistry* registry)
-{
-    return train_cluster_impl(problem, config, registry);
-}
+template void validate_cluster_config(const dataset::DenseProblem&,
+                                      const ClusterConfig&);
+template void validate_cluster_config(const dataset::SparseProblem&,
+                                      const ClusterConfig&);
+template ClusterResult train_cluster(const dataset::DenseProblem&,
+                                     const ClusterConfig&,
+                                     serve::ModelRegistry*);
+template ClusterResult train_cluster(const dataset::SparseProblem&,
+                                     const ClusterConfig&,
+                                     serve::ModelRegistry*);
 
 } // namespace buckwild::ps

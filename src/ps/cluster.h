@@ -17,7 +17,13 @@
  * thread checkpoints the shards every `publish_every` applied worker
  * rounds (and once at the end) straight into the registry — a serving
  * cluster hot-swaps onto the training cluster's progress with no file in
- * between.
+ * between. Every checkpoint, mid-run or final, carries the problem's
+ * DMGC signature row (make_cluster_checkpoint, ps/node.h).
+ *
+ * Dense and sparse problems train through the same code: the functions
+ * templated on `Problem` are defined for dataset::DenseProblem and
+ * dataset::SparseProblem, and differ only in the row kind
+ * (ps/workload.h).
  */
 #ifndef BUCKWILD_PS_CLUSTER_H
 #define BUCKWILD_PS_CLUSTER_H
@@ -107,26 +113,30 @@ struct ClusterResult
 };
 
 /**
+ * Throws std::runtime_error unless `config` can train `problem`: the one
+ * check train_cluster() and train_cluster_multiprocess() run before they
+ * start a shard or fork a process.
+ */
+template <typename Problem>
+void validate_cluster_config(const Problem& problem,
+                             const ClusterConfig& config);
+
+/**
  * Trains on `problem` with a freshly started parameter-server cluster
  * and returns once every worker finished its rounds and the shards
  * stopped. Publishes into `registry` when non-null.
  *
+ * On a sparse problem every push on the fabric is a quantized sparse
+ * gradient — nnz values plus an Elias-gamma index-gap stream — applied
+ * at the shards through the gather-scatter sparse kernels;
+ * bytes_per_round is then always measured (sparse traffic is
+ * nnz-dependent at every tier) and the checkpoints carry the sparse
+ * DMGC signature row.
+ *
  * @throws std::runtime_error on an invalid configuration.
  */
-ClusterResult train_cluster(const dataset::DenseProblem& problem,
-                            const ClusterConfig& config,
-                            serve::ModelRegistry* registry = nullptr);
-
-/**
- * The sparse-workload sibling: workers run the sparse round loop
- * (touched-coordinate accumulation, sparse error feedback) and every
- * push on the fabric is a quantized sparse gradient — nnz values plus an
- * Elias-gamma index-gap stream — applied at the shards through the
- * gather-scatter sparse kernels. bytes_per_round is always measured
- * (sparse traffic is nnz-dependent at every tier) and the checkpoint
- * carries the sparse DMGC signature row.
- */
-ClusterResult train_cluster(const dataset::SparseProblem& problem,
+template <typename Problem>
+ClusterResult train_cluster(const Problem& problem,
                             const ClusterConfig& config,
                             serve::ModelRegistry* registry = nullptr);
 

@@ -2,7 +2,7 @@
  * @file
  * GradientView — the one gradient currency of the cluster tier.
  *
- * Every layer that moves a gradient (comm_sgd worker accumulation, the
+ * Every layer that moves a gradient (the cluster worker's round sum, the
  * ps/quantize codecs, the shard apply, error feedback) used to assume a
  * dense `float*`. A GradientView is either that dense span, or a sparse
  * (index, value) stream whose index rep is one of the lowp index widths

@@ -3,7 +3,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <fstream>
 #include <memory>
@@ -17,7 +16,6 @@
 #include "ps/shard.h"
 #include "ps/wire.h"
 #include "ps/workload.h"
-#include "simd/sparse_ops.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 
@@ -26,36 +24,6 @@ namespace buckwild::ps {
 // ------------------------------------------------------ worker rounds
 
 namespace {
-
-/// Pulls every shard's slice into the local model replica. Slices may
-/// sit at different versions — that inconsistency is the asynchrony the
-/// C-term error feedback has to absorb.
-void
-pull_model(RpcClient& rpc, const ClusterConfig& config, std::size_t dim,
-           std::size_t worker, std::vector<float>& model)
-{
-    for (std::size_t s = 0; s < config.shards; ++s) {
-        Message pull;
-        pull.kind = Message::Kind::kPull;
-        pull.worker = static_cast<std::uint32_t>(worker);
-        const Message reply = rpc.call(s, std::move(pull));
-        // A shard process started on another problem (a different
-        // --dense DIM or --libsvm file) serves a slice of another width;
-        // copying it would write past the model replica.
-        const std::size_t begin = slice_begin(dim, config.shards, s);
-        const std::size_t width = slice_end(dim, config.shards, s) - begin;
-        if (reply.kind != Message::Kind::kModel ||
-            reply.weights.size() != width)
-            fatal("pull reply from shard " + std::to_string(s) +
-                  " does not match its slice (" +
-                  std::to_string(reply.weights.size()) + " weights, " +
-                  std::to_string(width) +
-                  " expected): do the shards and this worker train the "
-                  "same problem?");
-        std::copy(reply.weights.begin(), reply.weights.end(),
-                  model.begin() + static_cast<std::ptrdiff_t>(begin));
-    }
-}
 
 /// Pushes one wire gradient to shard `s`, backing off and retrying while
 /// the SSP gate nacks it. Time spent bounced lands in the ssp_wait hop
@@ -110,32 +78,30 @@ ssp_wait_histogram()
 
 } // namespace
 
+template <typename Problem>
 WorkerStats
-run_worker_rounds(const ClusterConfig& config,
-                  const dataset::DenseProblem& problem, std::size_t worker,
-                  Transport& transport,
+run_worker_rounds(const ClusterConfig& config, const Problem& problem,
+                  std::size_t worker, Transport& transport,
                   std::atomic<std::uint64_t>* rounds_done)
 {
     Stopwatch clock;
     WorkerStats stats;
     const std::size_t dim = problem.dim;
     const std::size_t shards = config.shards;
-    const std::size_t workers = config.workers;
     RpcClient rpc(transport, worker_endpoint_of(config, worker));
 
     // Worker w trains on its own contiguous slice of the examples —
     // the data-parallel D partition — cycling through it in
     // mini-batches of config.batch.
-    const std::size_t ex_begin = worker * problem.examples / workers;
-    const std::size_t ex_end = (worker + 1) * problem.examples / workers;
-    const std::size_t ex_count = ex_end - ex_begin;
+    const std::size_t examples = detail::example_count(problem);
+    const std::size_t ex_begin = worker * examples / config.workers;
+    const std::size_t ex_count =
+        (worker + 1) * examples / config.workers - ex_begin;
 
     std::vector<float> model(dim, 0.0f);
-    std::vector<float> gradient(dim);
-    std::vector<float> residual;
-    const bool feedback =
-        config.error_feedback && config.codec.kind != CodecKind::kDense;
-    if (feedback) residual.assign(dim, 0.0f);
+    auto gradient = detail::accumulator_for(
+        problem,
+        config.error_feedback && config.codec.kind != CodecKind::kDense);
 
     // Per-worker stochastic-rounding stream for the CsQ tiers; seeded
     // from the worker id so runs are reproducible and workers
@@ -147,210 +113,49 @@ run_worker_rounds(const ClusterConfig& config,
     for (std::uint64_t round = 1; round <= config.rounds; ++round) {
         BUCKWILD_OBS_SPAN("ps", "worker.round");
         Stopwatch round_clock;
-        pull_model(rpc, config, dim, worker, model);
+        pull_slices(rpc, shards, worker, model);
 
         {
             // Mini-batch gradient on this worker's data slice.
             BUCKWILD_OBS_SPAN("ps", "worker.minibatch");
             Stopwatch minibatch_clock;
-            std::fill(gradient.begin(), gradient.end(), 0.0f);
+            gradient.begin_minibatch();
+            std::size_t numbers = 0;
             for (std::size_t b = 0; b < config.batch; ++b) {
                 const std::size_t i =
                     ex_begin + ((round - 1) * config.batch + b) % ex_count;
-                const float* x = problem.row(i);
-                float z = 0.0f;
-                for (std::size_t k = 0; k < dim; ++k) z += model[k] * x[k];
+                const auto& x = detail::row(problem, i);
+                numbers += detail::row_numbers(x);
                 const float g = core::loss_gradient_coefficient(
-                    config.loss, z, problem.y[i]);
+                    config.loss, detail::row_dot(config.impl, x, model.data()),
+                    problem.y[i]);
                 if (g == 0.0f) continue;
-                for (std::size_t k = 0; k < dim; ++k)
-                    gradient[k] += g * x[k];
+                gradient.add(g, x);
             }
-            if (feedback)
-                for (std::size_t k = 0; k < dim; ++k)
-                    gradient[k] += residual[k];
+            gradient.add_residual();
             // Cumulative GNPS inputs for the live conformance
             // watchdog: numbers touched / seconds busy in compute.
             BUCKWILD_OBS_GAUGE_ADD("ps.worker.numbers",
-                                   static_cast<double>(config.batch) *
-                                       static_cast<double>(dim));
+                                   static_cast<double>(numbers));
             BUCKWILD_OBS_GAUGE_ADD("ps.worker.seconds",
                                    minibatch_clock.seconds());
         }
+        gradient.begin_pushes();
 
         // Quantize and push each shard's slice; a staleness-gated
         // nack means this worker ran too far ahead — back off and
         // retry (the shard's gate opens as the slow workers apply).
         for (std::size_t s = 0; s < shards; ++s) {
-            const std::size_t begin = slice_begin(dim, shards, s);
-            const WireGradient wire = encode_gradient(
-                gradient.data() + begin,
-                slice_end(dim, shards, s) - begin, config.codec,
-                feedback ? residual.data() + begin : nullptr, &codec_rng);
+            const WireGradient wire = gradient.encode(
+                slice_begin(dim, shards, s), slice_end(dim, shards, s),
+                config.codec, &codec_rng);
             stats.encoded_bytes += wire.wire_bytes();
             BUCKWILD_OBS_COUNT("ps.worker.encoded_bytes",
                                wire.wire_bytes());
             push_with_backoff(rpc, s, worker, round, wire,
                               ssp_wait_histogram());
         }
-        ++stats.rounds;
-        if (rounds_done != nullptr)
-            rounds_done->fetch_add(1, std::memory_order_acq_rel);
-        BUCKWILD_OBS_HISTO("ps.worker.round_seconds",
-                           round_clock.seconds());
-    }
-
-    retire_worker(rpc, config, worker);
-
-    stats.seconds = clock.seconds();
-    stats.retries = rpc.retries();
-    return stats;
-}
-
-WorkerStats
-run_worker_rounds(const ClusterConfig& config,
-                  const dataset::SparseProblem& problem, std::size_t worker,
-                  Transport& transport,
-                  std::atomic<std::uint64_t>* rounds_done)
-{
-    Stopwatch clock;
-    WorkerStats stats;
-    const std::size_t dim = problem.dim;
-    const std::size_t shards = config.shards;
-    const std::size_t workers = config.workers;
-    RpcClient rpc(transport, worker_endpoint_of(config, worker));
-
-    const std::size_t ex_begin = worker * problem.examples() / workers;
-    const std::size_t ex_end = (worker + 1) * problem.examples() / workers;
-    const std::size_t ex_count = ex_end - ex_begin;
-
-    std::vector<float> model(dim, 0.0f);
-    // Sparse accumulation: a dense scratch accumulator plus an explicit
-    // support list, so a round costs O(touched), not O(dim).
-    std::vector<float> acc(dim, 0.0f);
-    std::vector<std::uint8_t> in_support(dim, 0);
-    std::vector<std::uint32_t> touched;
-    const bool feedback =
-        config.error_feedback && config.codec.kind != CodecKind::kDense;
-    // The error-feedback residual is itself sparse: the coordinates the
-    // worker has pushed with nonzero untransmitted remainder.
-    std::vector<std::uint32_t> residual_index;
-    std::vector<float> residual_value;
-    std::vector<std::uint32_t> next_residual_index;
-    std::vector<float> next_residual_value;
-
-    std::uint64_t seed_state =
-        0xC5C0DEull + static_cast<std::uint64_t>(worker);
-    rng::Xorshift128Plus codec_rng(rng::splitmix64(seed_state));
-
-    std::vector<std::uint32_t> slice_index;
-    std::vector<float> slice_value;
-    std::vector<float> slice_residual;
-
-    for (std::uint64_t round = 1; round <= config.rounds; ++round) {
-        BUCKWILD_OBS_SPAN("ps", "worker.round");
-        Stopwatch round_clock;
-        pull_model(rpc, config, dim, worker, model);
-
-        std::size_t batch_numbers = 0;
-        {
-            // Mini-batch gradient over only the touched coordinates.
-            BUCKWILD_OBS_SPAN("ps", "worker.minibatch");
-            Stopwatch minibatch_clock;
-            for (std::size_t b = 0; b < config.batch; ++b) {
-                const std::size_t i =
-                    ex_begin + ((round - 1) * config.batch + b) % ex_count;
-                const dataset::SparseRow& x = problem.rows[i];
-                const std::size_t nnz = x.value.size();
-                batch_numbers += nnz;
-                const float z = simd::SparseOps<std::uint32_t>::dot(
-                    config.impl, x.value.data(), x.index.data(), nnz,
-                    model.data(), 1.0f,
-                    simd::sparse::IndexMode::kAbsolute);
-                const float g = core::loss_gradient_coefficient(
-                    config.loss, z, problem.y[i]);
-                if (g == 0.0f) continue;
-                for (std::size_t j = 0; j < nnz; ++j) {
-                    const std::uint32_t k = x.index[j];
-                    if (!in_support[k]) {
-                        in_support[k] = 1;
-                        touched.push_back(k);
-                    }
-                    acc[k] += g * x.value[j];
-                }
-            }
-            // Carried residual joins the round's support (a coordinate
-            // with pending feedback is pushed even if this minibatch
-            // missed it).
-            for (std::size_t j = 0; j < residual_index.size(); ++j) {
-                const std::uint32_t k = residual_index[j];
-                if (!in_support[k]) {
-                    in_support[k] = 1;
-                    touched.push_back(k);
-                }
-                acc[k] += residual_value[j];
-            }
-            BUCKWILD_OBS_GAUGE_ADD("ps.worker.numbers",
-                                   static_cast<double>(batch_numbers));
-            BUCKWILD_OBS_GAUGE_ADD("ps.worker.seconds",
-                                   minibatch_clock.seconds());
-        }
-        std::sort(touched.begin(), touched.end());
-
-        // Per-range nnz split: each shard gets the (slice-local) run of
-        // touched coordinates inside its range — an empty run still
-        // pushes, so clocks/dedup/SSP behave exactly like the dense loop.
-        next_residual_index.clear();
-        next_residual_value.clear();
-        auto lo = touched.begin();
-        for (std::size_t s = 0; s < shards; ++s) {
-            const std::size_t begin = slice_begin(dim, shards, s);
-            const std::size_t end = slice_end(dim, shards, s);
-            const auto hi = std::lower_bound(
-                lo, touched.end(), static_cast<std::uint32_t>(end));
-            slice_index.clear();
-            slice_value.clear();
-            for (auto it = lo; it != hi; ++it) {
-                slice_index.push_back(
-                    static_cast<std::uint32_t>(*it - begin));
-                slice_value.push_back(acc[*it]);
-            }
-            const std::size_t nnz = slice_index.size();
-            slice_residual.assign(nnz, 0.0f);
-            const GradientView view =
-                GradientView::sparse_view<std::uint32_t>(
-                    slice_value.data(), slice_index.data(), nnz,
-                    static_cast<std::uint32_t>(end - begin),
-                    simd::sparse::IndexMode::kAbsolute);
-            const WireGradient wire = encode_sparse_gradient(
-                view, config.codec,
-                feedback ? slice_residual.data() : nullptr, &codec_rng);
-            stats.encoded_bytes += wire.wire_bytes();
-            stats.encoded_nnz += nnz;
-            BUCKWILD_OBS_COUNT("ps.worker.encoded_bytes",
-                               wire.wire_bytes());
-            if (feedback)
-                for (std::size_t j = 0; j < nnz; ++j)
-                    if (slice_residual[j] != 0.0f) {
-                        next_residual_index.push_back(
-                            static_cast<std::uint32_t>(begin) +
-                            slice_index[j]);
-                        next_residual_value.push_back(slice_residual[j]);
-                    }
-            push_with_backoff(rpc, s, worker, round, wire,
-                              ssp_wait_histogram());
-            lo = hi;
-        }
-        residual_index.swap(next_residual_index);
-        residual_value.swap(next_residual_value);
-
-        // Reset the scratch accumulator in O(touched).
-        for (const std::uint32_t k : touched) {
-            acc[k] = 0.0f;
-            in_support[k] = 0;
-        }
-        touched.clear();
-
+        gradient.end_round();
         ++stats.rounds;
         if (rounds_done != nullptr)
             rounds_done->fetch_add(1, std::memory_order_acq_rel);
@@ -403,15 +208,11 @@ run_shard_node(const ClusterConfig& config, std::size_t dim,
     return shard.metrics();
 }
 
-namespace {
-
-/// Shared socket bring-up of a worker node: dial the shards, run the
-/// given round loop, close the fabric.
 template <typename Problem>
 WorkerStats
-run_worker_node_impl(const ClusterConfig& config, const Problem& problem,
-                     std::size_t worker,
-                     const std::vector<net::Address>& shard_addresses)
+run_worker_node(const ClusterConfig& config, const Problem& problem,
+                std::size_t worker,
+                const std::vector<net::Address>& shard_addresses)
 {
     if (worker >= config.workers) fatal("worker index out of range");
     if (shard_addresses.size() != config.shards)
@@ -427,24 +228,6 @@ run_worker_node_impl(const ClusterConfig& config, const Problem& problem,
         run_worker_rounds(config, problem, worker, transport, nullptr);
     transport.close();
     return stats;
-}
-
-} // namespace
-
-WorkerStats
-run_worker_node(const ClusterConfig& config,
-                const dataset::DenseProblem& problem, std::size_t worker,
-                const std::vector<net::Address>& shard_addresses)
-{
-    return run_worker_node_impl(config, problem, worker, shard_addresses);
-}
-
-WorkerStats
-run_worker_node(const ClusterConfig& config,
-                const dataset::SparseProblem& problem, std::size_t worker,
-                const std::vector<net::Address>& shard_addresses)
-{
-    return run_worker_node_impl(config, problem, worker, shard_addresses);
 }
 
 namespace {
@@ -477,18 +260,7 @@ std::vector<float>
 ControlClient::snapshot(std::size_t dim)
 {
     std::vector<float> model(dim);
-    for (std::size_t s = 0; s < config_.shards; ++s) {
-        Message pull;
-        pull.kind = Message::Kind::kPull;
-        const Message reply = rpc_.call(s, std::move(pull));
-        if (reply.weights.size() !=
-            slice_end(dim, config_.shards, s) -
-                slice_begin(dim, config_.shards, s))
-            fatal("pull reply does not match the shard slice");
-        std::copy(reply.weights.begin(), reply.weights.end(),
-                  model.begin() + static_cast<std::ptrdiff_t>(
-                                      slice_begin(dim, config_.shards, s)));
-    }
+    pull_slices(rpc_, config_.shards, 0, model);
     return model;
 }
 
@@ -517,43 +289,25 @@ ControlClient::shutdown()
 
 // --------------------------------------------------------- assembly
 
+template <typename Problem>
 void
-evaluate_model(const dataset::DenseProblem& problem, core::Loss loss,
+evaluate_model(const Problem& problem, core::Loss loss,
                const std::vector<float>& model, double* out_loss,
                double* out_accuracy)
 {
+    const std::size_t examples = detail::example_count(problem);
+    const simd::Impl impl = simd::best_impl();
     double total = 0.0;
     std::size_t correct = 0;
-    for (std::size_t i = 0; i < problem.examples; ++i) {
-        float z = 0.0f;
-        const float* x = problem.row(i);
-        for (std::size_t k = 0; k < problem.dim; ++k) z += model[k] * x[k];
+    for (std::size_t i = 0; i < examples; ++i) {
+        const float z =
+            detail::row_dot(impl, detail::row(problem, i), model.data());
         total += core::loss_value(loss, z, problem.y[i]);
         if (core::loss_correct(loss, z, problem.y[i])) ++correct;
     }
-    *out_loss = total / static_cast<double>(problem.examples);
+    *out_loss = total / static_cast<double>(examples);
     *out_accuracy =
-        static_cast<double>(correct) / static_cast<double>(problem.examples);
-}
-
-void
-evaluate_model(const dataset::SparseProblem& problem, core::Loss loss,
-               const std::vector<float>& model, double* out_loss,
-               double* out_accuracy)
-{
-    double total = 0.0;
-    std::size_t correct = 0;
-    for (std::size_t i = 0; i < problem.examples(); ++i) {
-        const dataset::SparseRow& x = problem.rows[i];
-        const float z = simd::SparseOps<std::uint32_t>::dot(
-            x.value.data(), x.index.data(), x.value.size(), model.data(),
-            1.0f, simd::sparse::IndexMode::kAbsolute);
-        total += core::loss_value(loss, z, problem.y[i]);
-        if (core::loss_correct(loss, z, problem.y[i])) ++correct;
-    }
-    *out_loss = total / static_cast<double>(problem.examples());
-    *out_accuracy = static_cast<double>(correct) /
-                    static_cast<double>(problem.examples());
+        static_cast<double>(correct) / static_cast<double>(examples);
 }
 
 core::SavedModel
@@ -584,6 +338,37 @@ fixed_bytes_per_round(const ClusterConfig& config, std::size_t dim)
                               slice_begin(dim, config.shards, s),
                           config.codec.bits));
     return total;
+}
+
+template <typename Problem>
+void
+detail::finish_cluster_result(const Problem& problem,
+                              const ClusterConfig& config,
+                              const std::vector<WorkerStats>& worker_stats,
+                              ClusterResult& result)
+{
+    evaluate_model(problem, config.loss, result.checkpoint.weights,
+                   &result.final_loss, &result.accuracy);
+    std::uint64_t encoded_total = 0;
+    for (const WorkerStats& stats : worker_stats) {
+        result.rounds += stats.rounds;
+        result.metrics.worker_seconds += stats.seconds;
+        result.metrics.rpc_retries += stats.retries;
+        encoded_total += stats.encoded_bytes;
+    }
+    result.metrics.numbers = static_cast<double>(result.rounds) *
+                             static_cast<double>(config.batch) *
+                             numbers_per_example(problem);
+    // Sparse pushes are nnz-dependent at every tier, so their traffic is
+    // always measured; dense fixed-size codecs stay statically computed.
+    const bool measured = config.codec.kind == CodecKind::kQsgd ||
+                          is_sparse_workload(problem);
+    result.bytes_per_round =
+        measured ? (result.rounds > 0
+                        ? static_cast<double>(encoded_total) /
+                              static_cast<double>(result.rounds)
+                        : 0.0)
+                 : fixed_bytes_per_round(config, problem.dim);
 }
 
 namespace {
@@ -672,21 +457,14 @@ reap_children(const std::vector<pid_t>& pids, const char* role)
     }
 }
 
-using detail::example_count;
-using detail::is_sparse_workload;
-using detail::numbers_per_example;
+} // namespace
 
 template <typename Problem>
 ClusterResult
-train_cluster_multiprocess_impl(const Problem& problem,
-                                const ClusterConfig& config)
+train_cluster_multiprocess(const Problem& problem,
+                           const ClusterConfig& config)
 {
-    if (config.rounds == 0) fatal("rounds must be >= 1");
-    if (example_count(problem) < config.workers)
-        fatal("need at least one example per worker");
-    if (config.shards == 0 || config.shards > problem.dim)
-        fatal("bad shard count for this model dimension");
-    validate_codec(config.codec);
+    validate_cluster_config(problem, config);
 
     const std::size_t shards = config.shards;
     const std::size_t workers = config.workers;
@@ -901,49 +679,32 @@ train_cluster_multiprocess_impl(const Problem& problem,
         }
     }
 
-    result.checkpoint = make_cluster_checkpoint(config, std::move(model),
-                                                is_sparse_workload(problem));
-    evaluate_model(problem, config.loss, result.checkpoint.weights,
-                   &result.final_loss, &result.accuracy);
-
-    std::uint64_t encoded_total = 0;
-    for (std::size_t w = 0; w < workers; ++w) {
-        result.rounds += worker_stats[w].rounds;
-        result.metrics.worker_seconds += worker_stats[w].seconds;
-        result.metrics.rpc_retries += worker_stats[w].retries;
-        encoded_total += worker_stats[w].encoded_bytes;
-    }
+    result.checkpoint = make_cluster_checkpoint(
+        config, std::move(model), detail::is_sparse_workload(problem));
     result.metrics.rpc_retries += control.retries();
-    result.metrics.numbers = static_cast<double>(result.rounds) *
-                             static_cast<double>(config.batch) *
-                             numbers_per_example(problem);
-    // Sparse pushes are nnz-dependent at every tier, so their traffic is
-    // always measured; dense fixed-size codecs stay statically computed.
-    const bool measured = config.codec.kind == CodecKind::kQsgd ||
-                          is_sparse_workload(problem);
-    result.bytes_per_round =
-        measured ? (result.rounds > 0
-                        ? static_cast<double>(encoded_total) /
-                              static_cast<double>(result.rounds)
-                        : 0.0)
-                 : fixed_bytes_per_round(config, problem.dim);
+    detail::finish_cluster_result(problem, config, worker_stats, result);
     return result;
 }
 
-} // namespace
+#define BUCKWILD_PS_NODE_INSTANTIATE(Problem)                              \
+    template WorkerStats run_worker_rounds(                                \
+        const ClusterConfig&, const Problem&, std::size_t, Transport&,     \
+        std::atomic<std::uint64_t>*);                                      \
+    template WorkerStats run_worker_node(                                  \
+        const ClusterConfig&, const Problem&, std::size_t,                 \
+        const std::vector<net::Address>&);                                 \
+    template void evaluate_model(const Problem&, core::Loss,               \
+                                 const std::vector<float>&, double*,       \
+                                 double*);                                 \
+    template void detail::finish_cluster_result(                           \
+        const Problem&, const ClusterConfig&,                              \
+        const std::vector<WorkerStats>&, ClusterResult&);                  \
+    template ClusterResult train_cluster_multiprocess(const Problem&,      \
+                                                      const ClusterConfig&);
 
-ClusterResult
-train_cluster_multiprocess(const dataset::DenseProblem& problem,
-                           const ClusterConfig& config)
-{
-    return train_cluster_multiprocess_impl(problem, config);
-}
+BUCKWILD_PS_NODE_INSTANTIATE(dataset::DenseProblem)
+BUCKWILD_PS_NODE_INSTANTIATE(dataset::SparseProblem)
 
-ClusterResult
-train_cluster_multiprocess(const dataset::SparseProblem& problem,
-                           const ClusterConfig& config)
-{
-    return train_cluster_multiprocess_impl(problem, config);
-}
+#undef BUCKWILD_PS_NODE_INSTANTIATE
 
 } // namespace buckwild::ps

@@ -23,9 +23,13 @@
  *    control client. Call it before spawning any threads in the parent
  *    (fork() and threads do not mix).
  *
- * run_worker_rounds() is the one worker training loop, shared verbatim
- * by the in-process trainer (ps/cluster.cpp) and the socket worker — so
- * the two execution modes differ only in the fabric underneath.
+ * run_worker_rounds() is the one worker training loop, for dense and
+ * sparse rows alike, shared verbatim by the in-process trainer
+ * (ps/cluster.cpp) and the socket worker — so the two execution modes
+ * differ only in the fabric underneath.
+ *
+ * The functions templated on `Problem` are defined for
+ * dataset::DenseProblem and dataset::SparseProblem.
  *
  * Fault injection in multi-process mode is sender-side at the clients:
  * worker and control processes apply the configured FaultModel to their
@@ -49,21 +53,8 @@
 namespace buckwild::ps {
 
 // ------------------------------------------------- endpoint geometry
-
-/// First coordinate of shard s's slice (identical to
-/// ParameterServer::shard_begin).
-inline std::size_t
-slice_begin(std::size_t dim, std::size_t shards, std::size_t s)
-{
-    return s * dim / shards;
-}
-
-/// One past the last coordinate of shard s's slice.
-inline std::size_t
-slice_end(std::size_t dim, std::size_t shards, std::size_t s)
-{
-    return (s + 1) * dim / shards;
-}
+//
+// Shard slices are slice_begin() / slice_end() (ps/server.h).
 
 /// Total transport endpoints of a cluster: S shards + W workers + 1
 /// control.
@@ -97,7 +88,6 @@ struct WorkerStats
     std::uint64_t retries = 0;     ///< RPC retransmissions
     std::uint64_t rounds = 0;      ///< rounds completed
     std::uint64_t encoded_bytes = 0; ///< wire bytes of pushed gradients
-    std::uint64_t encoded_nnz = 0;   ///< nonzeros pushed (sparse rounds)
 };
 
 /**
@@ -105,25 +95,17 @@ struct WorkerStats
  * error feedback, encode per shard slice, push with SSP-nack backoff,
  * retire) over `transport` — any fabric. Increments `*rounds_done`
  * (when non-null) after each round, for an external publisher loop.
+ *
+ * Over sparse rows the gradient is accumulated over only the touched
+ * coordinates (the registered sparse dot kernels of `config.impl`),
+ * error feedback is a sparse residual, and each shard is pushed the
+ * nnz run inside its slice as a sparse gradient — an empty one when no
+ * coordinate landed there, so the SSP clocks advance uniformly.
  */
+template <typename Problem>
 WorkerStats run_worker_rounds(const ClusterConfig& config,
-                              const dataset::DenseProblem& problem,
-                              std::size_t worker, Transport& transport,
-                              std::atomic<std::uint64_t>* rounds_done);
-
-/**
- * The sparse sibling of run_worker_rounds(): minibatch gradients are
- * accumulated over only the touched coordinates (CSR rows through the
- * registered sparse dot kernels), error feedback is a sparse residual,
- * and each shard receives the nnz run falling inside its range as a
- * sparse push (encode_sparse_gradient) — including an empty push when
- * no coordinate landed there, so the SSP clocks advance uniformly.
- * Shared by the in-process trainer and the socket worker, like the
- * dense loop.
- */
-WorkerStats run_worker_rounds(const ClusterConfig& config,
-                              const dataset::SparseProblem& problem,
-                              std::size_t worker, Transport& transport,
+                              const Problem& problem, std::size_t worker,
+                              Transport& transport,
                               std::atomic<std::uint64_t>* rounds_done);
 
 // ------------------------------------------------------- node roles
@@ -148,15 +130,9 @@ ShardMetrics run_shard_node(const ClusterConfig& config, std::size_t dim,
 
 /// Runs worker `worker` against remote shards at `shard_addresses`
 /// (index s = shard s). Blocks until the rounds are done.
+template <typename Problem>
 WorkerStats run_worker_node(const ClusterConfig& config,
-                            const dataset::DenseProblem& problem,
-                            std::size_t worker,
-                            const std::vector<net::Address>& shard_addresses);
-
-/// Sparse-workload worker process (same fabric, sparse round loop).
-WorkerStats run_worker_node(const ClusterConfig& config,
-                            const dataset::SparseProblem& problem,
-                            std::size_t worker,
+                            const Problem& problem, std::size_t worker,
                             const std::vector<net::Address>& shard_addresses);
 
 /// The control endpoint's view of a remote cluster.
@@ -185,22 +161,18 @@ class ControlClient
 
 // --------------------------------------------------------- assembly
 
-/// Average loss and accuracy of `model` over the whole problem, with
-/// the same scalar evaluation loop the emulated trainer uses.
-void evaluate_model(const dataset::DenseProblem& problem, core::Loss loss,
+/// Average loss and accuracy of `model` over the whole problem. Dense
+/// rows take the scalar dot the worker uses; sparse rows the registered
+/// sparse dot of the ambient kernel tier.
+template <typename Problem>
+void evaluate_model(const Problem& problem, core::Loss loss,
                     const std::vector<float>& model, double* out_loss,
                     double* out_accuracy);
 
-/// Sparse evaluation: per-example dots through the registered sparse
-/// kernels over the CSR rows.
-void evaluate_model(const dataset::SparseProblem& problem, core::Loss loss,
-                    const std::vector<float>& model, double* out_loss,
-                    double* out_accuracy);
-
-/// Wraps final weights in the async-C DMGC provenance signature at the
-/// configured wire codec (what ParameterServer::checkpoint does, without
-/// needing a live server). `sparse` selects the sparse signature row
-/// (D32f i32 M32f with the async C term) for sparse-workload runs.
+/// Wraps weights in the async-C DMGC provenance signature at the
+/// configured wire codec — every checkpoint a cluster publishes or
+/// saves. `sparse` selects the sparse signature row (D32f i32 M32f with
+/// the async C term) for sparse-workload runs.
 core::SavedModel make_cluster_checkpoint(const ClusterConfig& config,
                                          std::vector<float> weights,
                                          bool sparse = false);
@@ -219,17 +191,11 @@ double fixed_bytes_per_round(const ClusterConfig& config, std::size_t dim);
  * registry publishing is unavailable (no shared address space).
  *
  * Must be called while this process is single-threaded (it forks).
- * @throws std::runtime_error on invalid config or a failed child.
+ * @throws std::runtime_error on an invalid config (before anything is
+ * forked: validate_cluster_config()) or a failed child.
  */
-ClusterResult train_cluster_multiprocess(const dataset::DenseProblem& problem,
-                                         const ClusterConfig& config);
-
-/// Multi-process training on a sparse (RCV1-style) workload: worker
-/// children run the sparse round loop and every push on the wire is a
-/// quantized sparse gradient. bytes_per_round is always measured from
-/// the encoded traffic (sparse payloads are nnz-dependent even at the
-/// fixed tiers).
-ClusterResult train_cluster_multiprocess(const dataset::SparseProblem& problem,
+template <typename Problem>
+ClusterResult train_cluster_multiprocess(const Problem& problem,
                                          const ClusterConfig& config);
 
 } // namespace buckwild::ps

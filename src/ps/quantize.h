@@ -5,10 +5,13 @@
  * Both executions of the DMGC C axis use the same quantization math:
  *
  *  - the deterministic single-thread *emulation* in core/comm_sgd (the
- *    statistical-efficiency harness), via quantize_gradient(); and
+ *    statistical-efficiency harness, dense rows only), via
+ *    quantize_gradient(); and
  *  - the real sharded parameter server in src/ps, via the wire codec
- *    encode_gradient() / decode_gradient(), which actually packs the
- *    quantized values into the bytes a network would carry.
+ *    encode_gradient() / decode_gradient() (and, for sparse rows,
+ *    encode_sparse_gradient() / decode_sparse_gradient()), which
+ *    actually packs the quantized values into the bytes a network would
+ *    carry.
  *
  * Four communication codecs, per the paper's Table 1 classification plus
  * the QSGD extension the ROADMAP calls for:

@@ -6,10 +6,8 @@
 
 namespace buckwild::ps {
 
-namespace {
-
-PsConfig
-validated(std::size_t dim, PsConfig config)
+void
+validate_ps_config(std::size_t dim, const PsConfig& config)
 {
     if (dim == 0) fatal("model dimension must be >= 1");
     if (config.workers == 0) fatal("workers must be >= 1");
@@ -21,6 +19,39 @@ validated(std::size_t dim, PsConfig config)
     validate_codec(config.codec);
     if (!(config.step_size > 0.0f)) fatal("step_size must be positive");
     if (config.batch == 0) fatal("batch must be >= 1");
+}
+
+void
+pull_slices(RpcClient& rpc, std::size_t shards, std::size_t worker,
+            std::vector<float>& model)
+{
+    const std::size_t dim = model.size();
+    for (std::size_t s = 0; s < shards; ++s) {
+        Message pull;
+        pull.kind = Message::Kind::kPull;
+        pull.worker = static_cast<std::uint32_t>(worker);
+        const Message reply = rpc.call(s, std::move(pull));
+        const std::size_t begin = slice_begin(dim, shards, s);
+        const std::size_t width = slice_end(dim, shards, s) - begin;
+        if (reply.kind != Message::Kind::kModel ||
+            reply.weights.size() != width)
+            fatal("pull reply from shard " + std::to_string(s) +
+                  " does not match its slice (" +
+                  std::to_string(reply.weights.size()) + " weights, " +
+                  std::to_string(width) +
+                  " expected): do the shards and this node train the "
+                  "same problem?");
+        std::copy(reply.weights.begin(), reply.weights.end(),
+                  model.begin() + static_cast<std::ptrdiff_t>(begin));
+    }
+}
+
+namespace {
+
+PsConfig
+validated(std::size_t dim, const PsConfig& config)
+{
+    validate_ps_config(dim, config);
     return config;
 }
 
@@ -38,22 +69,11 @@ ParameterServer::ParameterServer(std::size_t dim, const PsConfig& config)
     shard_cfg.impl = config_.impl;
     for (std::size_t s = 0; s < config_.shards; ++s)
         shards_.push_back(std::make_unique<ServerShard>(
-            s, shard_begin(s), shard_end(s), shard_cfg, transport_));
+            s, slice_begin(dim_, config_.shards, s),
+            slice_end(dim_, config_.shards, s), shard_cfg, transport_));
 }
 
 ParameterServer::~ParameterServer() { stop(); }
-
-std::size_t
-ParameterServer::shard_begin(std::size_t s) const
-{
-    return s * dim_ / config_.shards;
-}
-
-std::size_t
-ParameterServer::shard_end(std::size_t s) const
-{
-    return (s + 1) * dim_ / config_.shards;
-}
 
 std::size_t
 ParameterServer::worker_endpoint(std::size_t w) const
@@ -95,42 +115,11 @@ ParameterServer::snapshot()
     std::lock_guard<std::mutex> lock(control_mutex_);
     if (!running_ || stopped_)
         panic("snapshot needs a running parameter server");
-    const std::size_t control = config_.shards + config_.workers;
-    RpcClient rpc(transport_, control);
+    RpcClient rpc(transport_, config_.shards + config_.workers);
     std::vector<float> model(dim_);
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-        Message pull;
-        pull.kind = Message::Kind::kPull;
-        const Message reply = rpc.call(s, std::move(pull));
-        if (reply.weights.size() != shard_end(s) - shard_begin(s))
-            panic("pull reply does not match the shard slice");
-        std::copy(reply.weights.begin(), reply.weights.end(),
-                  model.begin() + static_cast<std::ptrdiff_t>(
-                                      shard_begin(s)));
-    }
+    pull_slices(rpc, shards_.size(), 0, model);
     control_retries_ += rpc.retries();
     return model;
-}
-
-core::SavedModel
-ParameterServer::checkpoint()
-{
-    core::SavedModel model;
-    model.signature = dmgc::Signature::dense_hogwild();
-    model.signature.communication = dmgc::Communication::kAsynchronous;
-    model.signature.comm_precision = config_.codec.kind == CodecKind::kDense
-        ? dmgc::Precision::full()
-        : dmgc::Precision::fixed(config_.codec.bits);
-    model.loss = config_.loss;
-    model.weights = snapshot();
-    return model;
-}
-
-std::uint64_t
-ParameterServer::publish(serve::ModelRegistry& registry,
-                         serve::Precision precision)
-{
-    return registry.publish(checkpoint(), precision);
 }
 
 PsMetrics

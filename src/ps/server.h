@@ -8,16 +8,12 @@
  * stop() closes the transport, which drains and joins them.
  *
  * snapshot() assembles the full model by pulling every shard over the
- * same message path the workers use — so a checkpoint taken mid-training
- * observes each shard atomically (a shard answers a pull between
- * pushes, never inside one) though shards may sit at different versions,
- * exactly like any other asynchronous reader.
- *
- * publish() closes the train-to-serve loop: checkpoint the shards,
- * re-quantize to a serving precision, and hot-swap the result into a
- * serve::ModelRegistry — a serving cluster scoring from that registry
- * picks up the training cluster's progress on its next batch, with no
- * file in between.
+ * same message path the workers use (pull_slices()) — so a checkpoint
+ * taken mid-training observes each shard atomically (a shard answers a
+ * pull between pushes, never inside one) though shards may sit at
+ * different versions, exactly like any other asynchronous reader.
+ * train_cluster() wraps each snapshot in its DMGC provenance and
+ * publishes it into a serve::ModelRegistry (ps/cluster.h).
  */
 #ifndef BUCKWILD_PS_SERVER_H
 #define BUCKWILD_PS_SERVER_H
@@ -28,12 +24,9 @@
 #include <vector>
 
 #include "core/loss.h"
-#include "core/model_io.h"
 #include "ps/metrics.h"
 #include "ps/shard.h"
 #include "ps/transport.h"
-#include "serve/model_registry.h"
-#include "serve/precision.h"
 #include "util/thread_pool.h"
 
 namespace buckwild::ps {
@@ -51,6 +44,37 @@ struct PsConfig
     simd::Impl impl = simd::best_impl();
     FaultModel faults;
 };
+
+/// Throws std::runtime_error unless `config` can serve a dim-coordinate
+/// model (what the ParameterServer constructor checks).
+void validate_ps_config(std::size_t dim, const PsConfig& config);
+
+/// First coordinate of shard s's slice of a dim-coordinate model.
+inline std::size_t
+slice_begin(std::size_t dim, std::size_t shards, std::size_t s)
+{
+    return s * dim / shards;
+}
+
+/// One past the last coordinate of shard s's slice.
+inline std::size_t
+slice_end(std::size_t dim, std::size_t shards, std::size_t s)
+{
+    return (s + 1) * dim / shards;
+}
+
+/**
+ * Pulls every shard's slice of `model` (model.size() coordinates over
+ * `shards` shards) through `rpc`, as worker `worker`. Slices may sit at
+ * different versions: that inconsistency is the asynchrony the C-term
+ * error feedback has to absorb.
+ *
+ * @throws std::runtime_error, naming the shard, when a reply is not a
+ * kModel of exactly its slice's width (a shard started on another
+ * problem would otherwise be copied past the end of `model`).
+ */
+void pull_slices(RpcClient& rpc, std::size_t shards, std::size_t worker,
+                 std::vector<float>& model);
 
 class ParameterServer
 {
@@ -72,8 +96,6 @@ class ParameterServer
     const PsConfig& config() const { return config_; }
     Transport& transport() { return transport_; }
 
-    std::size_t shard_begin(std::size_t s) const;
-    std::size_t shard_end(std::size_t s) const;
     /// Endpoint of worker w's reply mailbox.
     std::size_t worker_endpoint(std::size_t w) const;
 
@@ -83,15 +105,6 @@ class ParameterServer
     /// Assembles the full model by pulling every shard; safe while
     /// training is running (serialized on the control endpoint).
     std::vector<float> snapshot();
-
-    /// snapshot() wrapped in provenance: the async-C DMGC signature at
-    /// the configured wire precision plus the training loss.
-    core::SavedModel checkpoint();
-
-    /// checkpoint() published into `registry` at `precision`; returns
-    /// the registry version — the train-to-serve hot-swap.
-    std::uint64_t publish(serve::ModelRegistry& registry,
-                          serve::Precision precision);
 
     /// Shard + fabric counters. Shard entries are only filled in once
     /// stop() has run (they are owned by the shard threads until then).
@@ -103,7 +116,7 @@ class ParameterServer
     InProcTransport transport_;
     std::vector<std::unique_ptr<ServerShard>> shards_;
     WorkerGroup threads_;
-    mutable std::mutex control_mutex_; ///< serializes snapshot()/publish()
+    mutable std::mutex control_mutex_; ///< serializes snapshot()
     std::uint64_t control_retries_ = 0; ///< guarded by control_mutex_
     bool running_ = false;
     bool stopped_ = false;

@@ -13,10 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cmath>
 #include <cstring>
 #include <thread>
@@ -1167,6 +1169,32 @@ TEST(NetCluster, SparsePushesCrossRealSockets)
         EXPECT_GT(socket.metrics.total_sparse_bytes(), 0u) << codec.name();
         EXPECT_NEAR(socket.accuracy, inproc.accuracy, 0.05) << codec.name();
     }
+}
+
+TEST(NetCluster, SpawnRejectsBadConfigBeforeForking)
+{
+    // A shard process that rejects its configuration dies in its
+    // constructor, and the forked workers would then keep dialing its
+    // listener: the spawning trainer must reject the configuration the
+    // in-process trainer rejects, before it forks anything.
+    const auto& problem = testutil::cluster_problem();
+    const auto expect_rejected = [&](const ps::ClusterConfig& cfg) {
+        EXPECT_THROW(ps::train_cluster_multiprocess(problem, cfg),
+                     std::runtime_error);
+        errno = 0;
+        EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1)
+            << "a child was forked";
+        EXPECT_EQ(errno, ECHILD);
+    };
+    ps::ClusterConfig cfg = socket_cluster_config(ps::Codec::from_bits(8));
+    cfg.step_size = 0.0f;
+    expect_rejected(cfg);
+    cfg = socket_cluster_config(ps::Codec::from_bits(8));
+    cfg.batch = 0;
+    expect_rejected(cfg);
+    cfg = socket_cluster_config(ps::Codec::from_bits(8));
+    cfg.workers = 0;
+    expect_rejected(cfg);
 }
 
 } // namespace

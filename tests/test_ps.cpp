@@ -12,6 +12,9 @@
  *    and worker retirement;
  *  - PsCluster: convergence per precision, fault injection, staleness
  *    bounds, config validation, checkpoint provenance;
+ *  - PsWorker: the exact bytes a worker pushes, dense and sparse rows;
+ *  - PsSparseCluster: the same over sparse rows, with sparse provenance
+ *    on every publish;
  *  - PsServe: train-to-serve hot-swap through a shared ModelRegistry;
  *  - PsConcurrency: concurrent push/pull on one shard (the TSan target).
  */
@@ -1055,6 +1058,178 @@ TEST(PsCluster, WorkerRejectsPullReplyThatDoesNotMatchItsSlice)
     }
 }
 
+// ======================================================= PsWorker
+
+/// 0 (a third of the time) or a signed power of two in [2^-2, 2^1].
+/// With every feature of this form each product the worker forms
+/// (w * x and g * x) is exact, so its pushes are the same bytes whether
+/// or not the compiler fuses those products into FMAs.
+float
+power_of_two_feature(rng::Xorshift128Plus& rng)
+{
+    const std::uint64_t r = rng();
+    if (r % 3 == 0) return 0.0f;
+    const float magnitude =
+        std::ldexp(1.0f, static_cast<int>((r >> 8) % 4) - 2);
+    return ((r >> 16) & 1u) != 0 ? -magnitude : magnitude;
+}
+
+dataset::DenseProblem
+power_of_two_dense_problem()
+{
+    rng::Xorshift128Plus rng(0xD0);
+    dataset::DenseProblem p;
+    p.dim = 40;
+    p.examples = 48;
+    std::vector<float> truth(p.dim);
+    for (float& t : truth) t = power_of_two_feature(rng);
+    for (std::size_t i = 0; i < p.examples; ++i) {
+        float margin = 0.0f;
+        for (std::size_t k = 0; k < p.dim; ++k) {
+            p.x.push_back(power_of_two_feature(rng));
+            margin += p.x.back() * truth[k];
+        }
+        p.y.push_back(margin >= 0.0f ? 1.0f : -1.0f);
+    }
+    return p;
+}
+
+dataset::SparseProblem
+power_of_two_sparse_problem()
+{
+    rng::Xorshift128Plus rng(0x5A);
+    dataset::SparseProblem p;
+    p.dim = 96;
+    std::vector<float> truth(p.dim);
+    for (float& t : truth) t = power_of_two_feature(rng);
+    for (std::size_t i = 0; i < 48; ++i) {
+        dataset::SparseRow row;
+        float margin = 0.0f;
+        for (std::uint32_t k = 0; k < p.dim; ++k) {
+            const float x = power_of_two_feature(rng);
+            if (x == 0.0f || rng() % 6 != 0) continue;
+            row.index.push_back(k);
+            row.value.push_back(x);
+            margin += x * truth[k];
+        }
+        p.rows.push_back(std::move(row));
+        p.y.push_back(margin >= 0.0f ? 1.0f : -1.0f);
+    }
+    return p;
+}
+
+/// Runs one worker for `cfg.rounds` rounds against two fake shards on an
+/// InProcTransport and returns the FNV-1a 64 hash of the bytes of every
+/// push it made, shard 0's in clock order, then shard 1's. Each fake
+/// shard records a push once per clock (a retransmission is only acked)
+/// and answers a pull with -2^-4 times the sum of the pushes it has
+/// recorded, decoded: the worker trains, and a retransmitted pull gets
+/// the same answer.
+template <typename Problem>
+std::uint64_t
+worker_push_hash(const Problem& problem, ps::ClusterConfig cfg)
+{
+    cfg.workers = 1;
+    cfg.shards = 2;
+    cfg.impl = simd::Impl::kReference;
+    ps::InProcTransport transport(ps::cluster_endpoints(cfg));
+    std::vector<std::vector<std::vector<std::uint8_t>>> pushes(cfg.shards);
+    WorkerGroup shards;
+    shards.start(cfg.shards, [&](std::size_t s) {
+        std::vector<float> weights(
+            ps::slice_end(problem.dim, cfg.shards, s) -
+                ps::slice_begin(problem.dim, cfg.shards, s),
+            0.0f);
+        ps::Message request;
+        while (transport.recv(s, request, std::chrono::milliseconds(5000))) {
+            ps::Message reply;
+            reply.kind = ps::Message::Kind::kAck;
+            reply.token = request.token;
+            reply.accepted = true;
+            if (request.kind == ps::Message::Kind::kPull) {
+                reply.kind = ps::Message::Kind::kModel;
+                reply.weights = weights;
+            } else if (request.kind == ps::Message::Kind::kPush &&
+                       request.clock == pushes[s].size() + 1) {
+                // Token and sender vary with retransmission; the push's
+                // identity is (worker, clock, gradient).
+                ps::Message push;
+                push.kind = request.kind;
+                push.worker = request.worker;
+                push.clock = request.clock;
+                push.gradient = request.gradient;
+                pushes[s].push_back(ps::serialize_message(push));
+                if (push.gradient.sparse()) {
+                    const ps::SparseGradient g =
+                        ps::decode_sparse_gradient(push.gradient);
+                    for (std::size_t j = 0; j < g.nnz(); ++j)
+                        weights[g.index[j]] -= 0x1p-4f * g.value[j];
+                } else {
+                    const std::vector<float> g =
+                        ps::decode_gradient(push.gradient);
+                    for (std::size_t k = 0; k < g.size(); ++k)
+                        weights[k] -= 0x1p-4f * g[k];
+                }
+            }
+            transport.send(request.sender, std::move(reply));
+        }
+    });
+    ps::run_worker_rounds(cfg, problem, 0, transport, nullptr);
+    transport.close();
+    shards.join();
+
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const auto& shard : pushes) {
+        EXPECT_EQ(shard.size(), cfg.rounds);
+        for (const auto& bytes : shard)
+            for (const std::uint8_t b : bytes)
+                hash = (hash ^ b) * 0x100000001b3ull;
+    }
+    return hash;
+}
+
+ps::ClusterConfig
+golden_worker_config(const ps::Codec& codec)
+{
+    ps::ClusterConfig cfg;
+    cfg.codec = codec;
+    cfg.error_feedback = true;
+    cfg.rounds = 16;
+    cfg.batch = 4;
+    return cfg;
+}
+
+TEST(PsWorker, DensePushesMatchGoldens)
+{
+    // A change to the round loop that moves these bytes changes what
+    // workers train on: these goldens fail by design, bump them
+    // consciously.
+    const auto problem = power_of_two_dense_problem();
+    EXPECT_EQ(worker_push_hash(problem, golden_worker_config(
+                                            ps::Codec::from_bits(32))),
+              0x9f9d5a5f52fde163ull);
+    EXPECT_EQ(worker_push_hash(problem, golden_worker_config(
+                                            ps::Codec::from_bits(8))),
+              0x6b54e96004350d0full);
+    EXPECT_EQ(worker_push_hash(problem,
+                               golden_worker_config(ps::Codec::qsgd(4))),
+              0xc06e7a0b6daca952ull);
+}
+
+TEST(PsWorker, SparsePushesMatchGoldens)
+{
+    const auto problem = power_of_two_sparse_problem();
+    EXPECT_EQ(worker_push_hash(problem, golden_worker_config(
+                                            ps::Codec::from_bits(32))),
+              0x50d6dd9690c1c860ull);
+    EXPECT_EQ(worker_push_hash(problem, golden_worker_config(
+                                            ps::Codec::from_bits(8))),
+              0xeceadfd31c8c87abull);
+    EXPECT_EQ(worker_push_hash(problem,
+                               golden_worker_config(ps::Codec::qsgd(4))),
+              0xeea13fab142ddf50ull);
+}
+
 TEST(PsCluster, RejectsBadConfig)
 {
     const auto& problem = cluster_problem();
@@ -1190,6 +1365,42 @@ TEST(PsSparseCluster, SurvivesFaultInjectionAndPublishesToServing)
         static_cast<double>(correct) / static_cast<double>(scored);
     EXPECT_NEAR(accuracy, r.accuracy, 0.08)
         << "served sparse accuracy must track training accuracy";
+}
+
+TEST(PsSparseCluster, MidRunPublishesCarryTheSparseSignature)
+{
+    // A serving client that swaps onto a sparse cluster's progress must
+    // see the sparse provenance on every version, not only the last.
+    const auto& problem = sparse_cluster_problem();
+    serve::ModelRegistry registry;
+    auto cfg = cluster_config(8);
+    cfg.rounds = 200;
+    cfg.publish_every = 5;
+
+    std::atomic<bool> done{false};
+    std::vector<std::pair<std::uint64_t, bool>> seen; // (version, sparse)
+    std::thread poller([&] {
+        while (!done.load(std::memory_order_acquire)) {
+            const auto model = registry.current();
+            if (model != nullptr &&
+                (seen.empty() || seen.back().first != model->version()))
+                seen.emplace_back(model->version(),
+                                  model->trained_signature().sparse);
+            std::this_thread::yield();
+        }
+    });
+    const auto r = ps::train_cluster(problem, cfg, &registry);
+    done.store(true, std::memory_order_release);
+    poller.join();
+
+    ASSERT_GE(r.published_versions.size(), 2u);
+    const std::uint64_t final_version = r.published_versions.back();
+    std::size_t mid_run = 0;
+    for (const auto& [version, sparse] : seen) {
+        EXPECT_TRUE(sparse) << "version " << version;
+        if (version != final_version) ++mid_run;
+    }
+    EXPECT_GE(mid_run, 1u);
 }
 
 TEST(PsSparseCluster, RejectsBadConfig)

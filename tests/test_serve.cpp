@@ -131,6 +131,10 @@ TEST(ModelRegistry, HotSwapUnderConcurrentScorer)
         }
     });
 
+    // Swap only once the scorer runs: on a loaded machine the thread may
+    // otherwise not be scheduled before all 100 publishes are done.
+    while (scored.load(std::memory_order_relaxed) == 0)
+        std::this_thread::yield();
     for (int gen = 2; gen <= 101; ++gen) {
         const float sign = gen % 2 == 1 ? 1.0f : -1.0f;
         registry.publish(testutil::make_saved_model(std::vector<float>(dim, sign)),
