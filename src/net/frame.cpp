@@ -22,11 +22,18 @@ make_frame(const std::vector<std::uint8_t>& payload)
 {
     std::vector<std::uint8_t> frame;
     frame.reserve(kFrameHeaderBytes + payload.size());
-    ByteWriter writer(frame);
-    writer.u32(kFrameMagic);
-    writer.u32(static_cast<std::uint32_t>(payload.size()));
-    writer.array(payload);
+    append_frame_header(frame, payload.size());
+    ByteWriter(frame).array(payload);
     return frame;
+}
+
+void
+append_frame_header(std::vector<std::uint8_t>& out,
+                    std::size_t payload_bytes)
+{
+    ByteWriter writer(out);
+    writer.u32(kFrameMagic);
+    writer.u32(static_cast<std::uint32_t>(payload_bytes));
 }
 
 FrameResult

@@ -12,12 +12,25 @@
  *     4       4     payload length in bytes, little-endian
  *     8       len   payload
  *
- * read_frame() enforces a maximum payload size *before* allocating, so
+ * Two writers and two readers share this one layout:
+ *
+ *  - write_frame() sends the header, then the payload, in two sends
+ *    (the gate client's path); append_frame_header() lets a writer
+ *    build header and payload in one buffer and put the whole frame on
+ *    the wire with one write (the gate's replies through make_frame(),
+ *    and the parameter-server socket fabric, which serializes its
+ *    message straight after the header);
+ *  - read_frame() blocks on one descriptor until a whole frame arrived;
+ *    FrameSplitter is the incremental decoder for non-blocking reads,
+ *    fed whatever bytes a recv() returned (the gate's event loop, and
+ *    the socket fabric, which reads on the thread that consumes).
+ *
+ * Both readers enforce a maximum payload size *before* allocating, so
  * a corrupt or hostile length prefix cannot balloon memory; a bad magic
  * or oversized length poisons the connection (the caller must drop it —
  * after a desync there is no way to find the next frame boundary).
  * Partial reads and short writes are absorbed by the socket.h I/O
- * loops underneath.
+ * loops underneath read_frame() and write_frame().
  */
 #ifndef BUCKWILD_NET_FRAME_H
 #define BUCKWILD_NET_FRAME_H
@@ -54,6 +67,11 @@ bool write_frame(int fd, const std::uint8_t* payload, std::size_t n);
 /// frame on the wire in a single write (the gate's nonblocking replies).
 std::vector<std::uint8_t> make_frame(const std::vector<std::uint8_t>& payload);
 
+/// Appends the header of a frame whose payload is `payload_bytes` long;
+/// the caller appends exactly that many payload bytes after it.
+void append_frame_header(std::vector<std::uint8_t>& out,
+                         std::size_t payload_bytes);
+
 /**
  * Reads one frame into `payload` (resized to the exact length).
  * Validates the magic and the length cap before allocating.
@@ -73,8 +91,9 @@ enum class SplitResult {
  * Incremental frame extraction over a non-blocking stream.
  *
  * read_frame() blocks until a whole frame arrives, which is right for
- * the one-connection-per-thread transports but wrong for an event loop
- * multiplexing many connections on one thread (the gate ingress). A
+ * a client reading its one connection but wrong for a thread
+ * multiplexing many connections (the gate ingress, and the socket
+ * fabric's recv(), which polls its listener and every connection). A
  * FrameSplitter is the buffered alternative: push() whatever bytes
  * recv() returned, then drain complete frames with next(). Validation
  * matches read_frame exactly — bad magic or an oversized length poisons

@@ -3,15 +3,18 @@
  * ClusterTrainer — data-parallel SGD over the sharded parameter server.
  *
  * W worker threads each own a contiguous slice of the training examples.
- * A worker's round: pull every shard's slice (assembling its local model
- * replica), compute a mini-batch gradient, add the carried error-feedback
- * residual, quantize each shard's slice of it to the communication
- * precision (Cs32 / Cs8 / Cs1, via ps/quantize), and push the wire
- * gradients; a push bounced by the staleness gate is retried after a
- * short backoff. This is the *executed* version of the DMGC C axis that
- * core/comm_sgd only emulates: real threads, real message traffic, real
- * asynchrony — with convergence preserved by the same error-feedback
- * trick (Seide et al.) the emulation validates statistically.
+ * A worker's round: compute a mini-batch gradient on its local model
+ * replica, add the carried error-feedback residual, quantize each shard's
+ * slice of it to the communication precision (Cs32 / Cs8 / Cs1, via
+ * ps/quantize), and push the wire gradients; a push bounced by the
+ * staleness gate is retried after a short backoff. The replica is
+ * assembled by pulling every shard in the first round; after that the
+ * ack of each applied push carries the shard's post-apply slice, and a
+ * shard is pulled again only when its ack came back without one. This
+ * is the *executed* version of the DMGC C axis that core/comm_sgd only
+ * emulates: real threads, real message traffic, real asynchrony — with
+ * convergence preserved by the same error-feedback trick (Seide et al.)
+ * the emulation validates statistically.
  *
  * When a serve::ModelRegistry is supplied, a publisher on the caller's
  * thread checkpoints the shards every `publish_every` applied worker

@@ -9,6 +9,11 @@
  * structure mirrors serve::ServeMetrics: plain value types, derived
  * quantities as methods, a histogram for the distribution that matters —
  * there it was batch sizes, here it is push staleness.
+ *
+ * Slices reach workers two ways — kModel replies to kPull, and the acks
+ * of applied pushes — so `pulls` counts kPull requests while
+ * `pull_bytes` counts the slice bytes of both: per round it still
+ * measures what a round moves from the shards to the worker.
  */
 #ifndef BUCKWILD_PS_METRICS_H
 #define BUCKWILD_PS_METRICS_H
@@ -29,9 +34,11 @@ struct ShardMetrics
     std::uint64_t pushes = 0;     ///< gradients applied
     std::uint64_t duplicates = 0; ///< retransmitted pushes deduplicated
     std::uint64_t gated = 0;      ///< pushes bounced by the staleness bound
-    std::uint64_t pulls = 0;      ///< slice snapshots served
+    std::uint64_t pulls = 0;      ///< kPull requests served
     std::uint64_t push_bytes = 0; ///< wire bytes of applied pushes
-    std::uint64_t pull_bytes = 0; ///< wire bytes of served kModel replies
+    /// Wire bytes of every slice shipped: kModel replies, and the acks of
+    /// applied pushes, which carry the post-apply slice.
+    std::uint64_t pull_bytes = 0;
     double apply_seconds = 0.0;   ///< time inside the update kernel
     double numbers = 0.0;         ///< gradient numbers applied (GNPS numerator)
     std::uint64_t sparse_nnz = 0;   ///< nonzeros applied via sparse pushes

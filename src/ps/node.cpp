@@ -26,9 +26,9 @@ namespace buckwild::ps {
 namespace {
 
 /// Pushes one wire gradient to shard `s`, backing off and retrying while
-/// the SSP gate nacks it. Time spent bounced lands in the ssp_wait hop
-/// histogram.
-void
+/// the SSP gate nacks it, and returns the accepted ack. Time spent
+/// bounced lands in the ssp_wait hop histogram.
+Message
 push_with_backoff(RpcClient& rpc, std::size_t s, std::size_t worker,
                   std::uint64_t round, const WireGradient& wire,
                   obs::Histo& hop_ssp_wait)
@@ -41,10 +41,10 @@ push_with_backoff(RpcClient& rpc, std::size_t s, std::size_t worker,
         push.worker = static_cast<std::uint32_t>(worker);
         push.clock = round;
         push.gradient = wire;
-        const Message ack = rpc.call(s, std::move(push));
+        Message ack = rpc.call(s, std::move(push));
         if (ack.accepted) {
             if (gated) hop_ssp_wait.record(gate_clock.seconds());
-            return;
+            return ack;
         }
         if (!gated) {
             gated = true;
@@ -99,6 +99,12 @@ run_worker_rounds(const ClusterConfig& config, const Problem& problem,
         (worker + 1) * examples / config.workers - ex_begin;
 
     std::vector<float> model(dim, 0.0f);
+    // held[s]: shard s's slice in `model` came with the ack of this
+    // worker's last push, taken after it was applied. A shard not held —
+    // round one, or an ack without a slice (the duplicate ack of a
+    // retransmitted push, or a shard that does not ship slices) — is
+    // pulled when the round starts.
+    std::vector<bool> held(shards, false);
     auto gradient = detail::accumulator_for(
         problem,
         config.error_feedback && config.codec.kind != CodecKind::kDense);
@@ -113,7 +119,8 @@ run_worker_rounds(const ClusterConfig& config, const Problem& problem,
     for (std::uint64_t round = 1; round <= config.rounds; ++round) {
         BUCKWILD_OBS_SPAN("ps", "worker.round");
         Stopwatch round_clock;
-        pull_slices(rpc, shards, worker, model);
+        for (std::size_t s = 0; s < shards; ++s)
+            if (!held[s]) pull_slice(rpc, shards, s, worker, model);
 
         {
             // Mini-batch gradient on this worker's data slice.
@@ -152,8 +159,11 @@ run_worker_rounds(const ClusterConfig& config, const Problem& problem,
             stats.encoded_bytes += wire.wire_bytes();
             BUCKWILD_OBS_COUNT("ps.worker.encoded_bytes",
                                wire.wire_bytes());
-            push_with_backoff(rpc, s, worker, round, wire,
-                              ssp_wait_histogram());
+            const Message ack = push_with_backoff(rpc, s, worker, round,
+                                                  wire, ssp_wait_histogram());
+            held[s] = !ack.weights.empty();
+            if (held[s])
+                adopt_slice(ack, Message::Kind::kAck, shards, s, model);
         }
         gradient.end_round();
         ++stats.rounds;
@@ -179,7 +189,7 @@ run_shard_node(const ClusterConfig& config, std::size_t dim,
     if (options.index >= config.shards) fatal("shard index out of range");
     SocketTransportConfig tc;
     tc.endpoints = cluster_endpoints(config);
-    tc.local = {options.index};
+    tc.local = options.index;
     tc.listen = true;
     tc.bind_address = options.bind_address;
     tc.listen_port = options.port;
@@ -219,7 +229,7 @@ run_worker_node(const ClusterConfig& config, const Problem& problem,
         fatal("need one shard address per shard");
     SocketTransportConfig tc;
     tc.endpoints = cluster_endpoints(config);
-    tc.local = {worker_endpoint_of(config, worker)};
+    tc.local = worker_endpoint_of(config, worker);
     for (std::size_t s = 0; s < config.shards; ++s)
         tc.peers[s] = shard_addresses[s];
     tc.faults = config.faults;
@@ -240,7 +250,7 @@ control_transport_config(const ClusterConfig& config,
         fatal("need one shard address per shard");
     SocketTransportConfig tc;
     tc.endpoints = cluster_endpoints(config);
-    tc.local = {control_endpoint_of(config)};
+    tc.local = control_endpoint_of(config);
     for (std::size_t s = 0; s < config.shards; ++s)
         tc.peers[s] = shard_addresses[s];
     tc.faults = config.faults;

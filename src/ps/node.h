@@ -91,10 +91,13 @@ struct WorkerStats
 };
 
 /**
- * Runs worker `worker`'s full training loop (pull, mini-batch gradient,
- * error feedback, encode per shard slice, push with SSP-nack backoff,
- * retire) over `transport` — any fabric. Increments `*rounds_done`
- * (when non-null) after each round, for an external publisher loop.
+ * Runs worker `worker`'s full training loop (mini-batch gradient, error
+ * feedback, encode per shard slice, push with SSP-nack backoff, retire)
+ * over `transport` — any fabric. Round one pulls every shard's slice;
+ * after that a round computes on the slices the previous round's push
+ * acks carried, and pulls only a shard whose accepted ack came back
+ * without one. Increments `*rounds_done` (when non-null) after each
+ * round, for an external publisher loop.
  *
  * Over sparse rows the gradient is accumulated over only the touched
  * coordinates (the registered sparse dot kernels of `config.impl`),

@@ -22,28 +22,41 @@ validate_ps_config(std::size_t dim, const PsConfig& config)
 }
 
 void
+adopt_slice(const Message& reply, Message::Kind kind, std::size_t shards,
+            std::size_t s, std::vector<float>& model)
+{
+    const std::size_t begin = slice_begin(model.size(), shards, s);
+    const std::size_t width = slice_end(model.size(), shards, s) - begin;
+    if (reply.kind != kind || reply.weights.size() != width)
+        fatal(std::string(kind == Message::Kind::kModel ? "pull reply"
+                                                        : "push ack") +
+              " from shard " + std::to_string(s) +
+              " does not match its slice (" +
+              std::to_string(reply.weights.size()) + " weights, " +
+              std::to_string(width) +
+              " expected): do the shards and this node train the same "
+              "problem?");
+    std::copy(reply.weights.begin(), reply.weights.end(),
+              model.begin() + static_cast<std::ptrdiff_t>(begin));
+}
+
+void
+pull_slice(RpcClient& rpc, std::size_t shards, std::size_t s,
+           std::size_t worker, std::vector<float>& model)
+{
+    Message pull;
+    pull.kind = Message::Kind::kPull;
+    pull.worker = static_cast<std::uint32_t>(worker);
+    adopt_slice(rpc.call(s, std::move(pull)), Message::Kind::kModel, shards,
+                s, model);
+}
+
+void
 pull_slices(RpcClient& rpc, std::size_t shards, std::size_t worker,
             std::vector<float>& model)
 {
-    const std::size_t dim = model.size();
-    for (std::size_t s = 0; s < shards; ++s) {
-        Message pull;
-        pull.kind = Message::Kind::kPull;
-        pull.worker = static_cast<std::uint32_t>(worker);
-        const Message reply = rpc.call(s, std::move(pull));
-        const std::size_t begin = slice_begin(dim, shards, s);
-        const std::size_t width = slice_end(dim, shards, s) - begin;
-        if (reply.kind != Message::Kind::kModel ||
-            reply.weights.size() != width)
-            fatal("pull reply from shard " + std::to_string(s) +
-                  " does not match its slice (" +
-                  std::to_string(reply.weights.size()) + " weights, " +
-                  std::to_string(width) +
-                  " expected): do the shards and this node train the "
-                  "same problem?");
-        std::copy(reply.weights.begin(), reply.weights.end(),
-                  model.begin() + static_cast<std::ptrdiff_t>(begin));
-    }
+    for (std::size_t s = 0; s < shards; ++s)
+        pull_slice(rpc, shards, s, worker, model);
 }
 
 namespace {

@@ -8,7 +8,8 @@
  * stop() closes the transport, which drains and joins them.
  *
  * snapshot() assembles the full model by pulling every shard over the
- * same message path the workers use (pull_slices()) — so a checkpoint
+ * same message path a worker's first round uses (pull_slices()) — so a
+ * checkpoint
  * taken mid-training observes each shard atomically (a shard answers a
  * pull between pushes, never inside one) though shards may sit at
  * different versions, exactly like any other asynchronous reader.
@@ -64,15 +65,27 @@ slice_end(std::size_t dim, std::size_t shards, std::size_t s)
 }
 
 /**
- * Pulls every shard's slice of `model` (model.size() coordinates over
- * `shards` shards) through `rpc`, as worker `worker`. Slices may sit at
- * different versions: that inconsistency is the asynchrony the C-term
- * error feedback has to absorb.
+ * Copies shard s's slice, carried by `reply`, into its place in `model`
+ * (model.size() coordinates over `shards` shards). Both carriers of a
+ * slice go through here: a pull's kModel reply, and the kAck of an
+ * applied push.
  *
- * @throws std::runtime_error, naming the shard, when a reply is not a
- * kModel of exactly its slice's width (a shard started on another
- * problem would otherwise be copied past the end of `model`).
+ * @throws std::runtime_error, naming the shard, when `reply` is not a
+ * `kind` message of exactly the slice's width (a shard started on
+ * another problem would otherwise be copied past the end of `model`).
  */
+void adopt_slice(const Message& reply, Message::Kind kind,
+                 std::size_t shards, std::size_t s,
+                 std::vector<float>& model);
+
+/// Pulls shard s's slice of `model` through `rpc`, as worker `worker`.
+/// @throws std::runtime_error as adopt_slice() does.
+void pull_slice(RpcClient& rpc, std::size_t shards, std::size_t s,
+                std::size_t worker, std::vector<float>& model);
+
+/// Pulls every shard's slice of `model`. Slices may sit at different
+/// versions: that inconsistency is the asynchrony the C-term error
+/// feedback has to absorb.
 void pull_slices(RpcClient& rpc, std::size_t shards, std::size_t worker,
                  std::vector<float>& model);
 

@@ -190,6 +190,10 @@ ServerShard::handle_push(Message&& push)
 
     ack.accepted = true;
     ack.version = version;
+    // The worker's next round computes on this slice: it rides the ack
+    // instead of a separate pull (duplicates and nacks carry none).
+    ack.weights = weights_;
+    metrics_.pull_bytes += ack.wire_bytes();
     transport_.send(push.sender, std::move(ack));
 }
 

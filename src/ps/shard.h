@@ -7,9 +7,11 @@
  * through its message loop: workers kPush quantized gradient slices
  * (applied through the simd::ops float kernels — the same AXPY the
  * Hogwild! trainer uses), kPull a copy of the current slice, and kRetire
- * when done. Because exactly one thread touches the weights, the shard
- * needs no locks around them; concurrency lives entirely in the
- * mailboxes.
+ * when done. The ack of an applied push carries the post-apply slice,
+ * which the worker's next round computes on — so a worker pulls only in
+ * its first round, or after an ack that came back without a slice.
+ * Because exactly one thread touches the weights, the shard needs no
+ * locks around them; concurrency lives entirely in the mailboxes.
  *
  * Bounded staleness (SSP): the shard tracks a per-worker clock (applied
  * pushes). A push that would put its worker more than `tau` rounds ahead

@@ -2,12 +2,11 @@
  * @file
  * SocketTransport — the Transport interface over real TCP.
  *
- * One process hosts a subset of the cluster's endpoints (its `local`
- * set); every other endpoint is remote, reached either by dialing a
- * configured peer address or by replying over the connection a request
- * arrived on. The wire unit is a net/frame.h frame whose payload is a
- * 4-byte destination endpoint followed by a ps/wire.h serialized
- * Message.
+ * One process hosts one endpoint of the cluster (its `local` index);
+ * every other endpoint is remote, reached either by dialing a configured
+ * peer address or by replying over the connection a request arrived on.
+ * The wire unit is a net/frame.h frame whose payload is a 4-byte
+ * destination endpoint followed by a ps/wire.h serialized Message.
  *
  * Topology conventions (matching the ParameterServer endpoint layout —
  * shards [0, S), workers [S, S+W), control S+W):
@@ -22,13 +21,32 @@
  *    listen, and dials the shard addresses it was configured with
  *    (lazily, with connect-retry — processes start in any order).
  *
+ * No thread lives inside the transport. recv() polls the listener and
+ * every connection itself: non-blocking reads feed one net::FrameSplitter
+ * per connection, and the parsed messages go into the endpoint's
+ * mailbox, which applies the FaultModel reorder window. A message is
+ * therefore read, parsed and consumed on one thread, and an RPC wakes
+ * only the two threads that act on it. send() writes each frame —
+ * header, destination and message in one buffer — with one write; a
+ * send that finds the socket full keeps reading inbound frames while it
+ * waits, so two nodes writing large frames at each other cannot
+ * deadlock.
+ *
+ * Threading: send() and recv() run on the one thread that serves the
+ * endpoint (a shard loop, a worker, a control client); close() may be
+ * called from any thread and wakes a blocked recv().
+ *
  * Reliability stays the protocol's job: a send onto a dead or
  * unreachable connection is counted in dropped() and otherwise silent —
  * exactly like a FaultModel drop — and RpcClient's timeout-retransmit
- * recovers (the retransmit re-dials). The FaultModel itself also still
- * applies (drop/jitter on send, bounded reorder in the local
- * mailboxes), so the fault-injection convergence tests run unchanged
- * over real sockets.
+ * recovers (the retransmit re-dials). One failure is not retried: a
+ * redial that fails for the whole connect_timeout, to a peer this
+ * transport had connected to before, throws, naming the peer's
+ * host:port — that peer is gone, and retransmitting into it would stall
+ * the caller for hundreds of attempts. A first dial keeps retrying, so
+ * nodes still start in any order. The FaultModel also still applies
+ * (drop/jitter on send, bounded reorder in the mailbox), so the
+ * fault-injection convergence tests run unchanged over real sockets.
  *
  * Byte accounting: sent_bytes()/recv_bytes() use the same idealized
  * Message::wire_bytes() the in-process fabric counts, so Cs-tier
@@ -39,12 +57,14 @@
 #ifndef BUCKWILD_PS_SOCKET_TRANSPORT_H
 #define BUCKWILD_PS_SOCKET_TRANSPORT_H
 
+#include <poll.h>
+
 #include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "net/frame.h"
@@ -58,8 +78,8 @@ struct SocketTransportConfig
 {
     /// Total endpoints in the cluster (the shared index space).
     std::size_t endpoints = 0;
-    /// Endpoints hosted by this process (each gets a mailbox).
-    std::vector<std::size_t> local;
+    /// The endpoint this process hosts (it owns the mailbox).
+    std::size_t local = 0;
     /// Remote endpoint -> address to dial (shards, from a worker's view).
     std::map<std::size_t, net::Address> peers;
     /// Listen for inbound connections (shard processes).
@@ -72,7 +92,8 @@ struct SocketTransportConfig
     /// before forking, so advertised ports are race-free). Takes
     /// ownership; overrides bind_address/listen_port.
     int adopt_listen_fd = -1;
-    /// How long a dial retries before the send counts as dropped.
+    /// How long a dial retries. A first dial that runs out counts the
+    /// send as dropped; a redial of a peer connected before throws.
     std::chrono::milliseconds connect_timeout{5000};
     std::size_t max_frame_bytes = net::kDefaultMaxFrameBytes;
     FaultModel faults;
@@ -91,12 +112,15 @@ class SocketTransport final : public Transport
     std::size_t endpoints() const override { return config_.endpoints; }
     const FaultModel& faults() const override { return config_.faults; }
 
+    /// @throws std::runtime_error when a peer connected before cannot
+    ///         be redialed within connect_timeout.
     void send(std::size_t to, Message&& message) override;
     bool recv(std::size_t at, Message& out,
               std::chrono::microseconds timeout) override;
 
-    /// Stops the accept/reader threads, closes every connection, and
-    /// closes the local mailboxes (receivers drain, then see closed).
+    /// Shuts down the listener and every connection, wakes a blocked
+    /// recv(), and closes the mailbox (receivers drain, then see
+    /// closed). Callable from any thread.
     void close() override;
     bool closed() const override
     {
@@ -120,45 +144,65 @@ class SocketTransport final : public Transport
     std::uint16_t port() const { return port_; }
 
   private:
-    /// One TCP connection: writes serialized under the mutex, reads
-    /// demultiplexed to mailboxes by a dedicated thread.
+    /// One TCP connection and the decoder of its inbound byte stream.
     struct Connection
     {
+        Connection(net::Fd socket, std::size_t max_payload_bytes,
+                   bool inbound)
+            : fd(std::move(socket)), splitter(max_payload_bytes),
+              accepted(inbound)
+        {}
+
         net::Fd fd;
-        std::mutex write_mutex;
-        std::thread reader;
-        std::atomic<bool> dead{false};
-        /// True when accept_loop produced this connection. Only inbound
+        net::FrameSplitter splitter;
+        /// True when the listener produced this connection. Only inbound
         /// connections carry requests, so only they teach reply routes;
         /// everything read on a dialed connection is a reply, and a
         /// reply whose kind overlaps a request kind (kStats) must not
         /// overwrite the dialer's routing table.
-        bool accepted = false;
+        bool accepted;
+        bool dead = false;
     };
+    using ConnectionPtr = std::shared_ptr<Connection>;
 
-    Mailbox* local_mailbox(std::size_t endpoint) const;
-    std::shared_ptr<Connection> route_for(std::size_t to);
-    std::shared_ptr<Connection> adopt_connection(net::Fd fd);
-    void reader_loop(const std::shared_ptr<Connection>& connection);
-    void accept_loop();
-    bool write_message(Connection& connection, std::size_t to,
+    /// Waits up to `timeout` for the listener or any connection, then
+    /// accepts and reads whatever is ready into the mailbox. When
+    /// `writer` is set it also returns once that connection is writable.
+    void pump(std::chrono::nanoseconds timeout,
+              const Connection* writer = nullptr);
+    void accept_pending();
+    /// Reads everything buffered on `connection` into the mailbox.
+    void read_connection(const ConnectionPtr& connection);
+    void deliver(const ConnectionPtr& connection,
+                 const std::vector<std::uint8_t>& payload);
+    /// Forgets dead connections and the routes through them.
+    void reap();
+    ConnectionPtr route_for(std::size_t to);
+    void add_connection(const ConnectionPtr& connection);
+    bool write_message(const ConnectionPtr& connection, std::size_t to,
                        const Message& message);
 
     const SocketTransportConfig config_;
-    std::map<std::size_t, std::unique_ptr<Mailbox>> mailboxes_;
+    Mailbox mailbox_;
     net::Fd listen_fd_;
+    net::Fd wake_fd_; ///< eventfd: close() makes it readable
     std::uint16_t port_ = 0;
-    std::thread acceptor_;
 
-    std::mutex conn_mutex_; ///< guards connections_, routes_, dialed_
-    std::vector<std::shared_ptr<Connection>> connections_;
+    /// Guards connections_ against close() on another thread; the
+    /// serving thread alone adds, removes and reads connections.
+    std::mutex conn_mutex_;
+    std::vector<ConnectionPtr> connections_;
     /// endpoint -> connection, learned from inbound requests or dialing.
-    std::map<std::size_t, std::shared_ptr<Connection>> routes_;
-    /// address -> connection, so endpoints co-hosted by one peer process
-    /// share a single TCP connection.
-    std::map<std::string, std::shared_ptr<Connection>> dialed_;
+    std::map<std::size_t, ConnectionPtr> routes_;
+    /// Every peer endpoint a dial has reached: losing one is fatal.
+    std::set<std::size_t> reached_;
 
-    std::mutex fault_mutex_; ///< guards fault_rng_
+    // Scratch of the serving thread, reused across calls.
+    std::vector<pollfd> poll_fds_;
+    std::vector<std::uint8_t> read_buffer_;
+    std::vector<std::uint8_t> payload_;
+    std::vector<std::uint8_t> frame_;
+
     rng::Xorshift128Plus fault_rng_;
 
     std::atomic<bool> closed_{false};

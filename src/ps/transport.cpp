@@ -24,8 +24,10 @@ bool
 Mailbox::pop(Message& out, std::chrono::microseconds timeout)
 {
     std::unique_lock<std::mutex> lock(mutex_);
-    if (!not_empty_.wait_for(lock, timeout,
-                             [&] { return !items_.empty() || closed_; }))
+    const auto ready = [&] { return !items_.empty() || closed_; };
+    // A zero timeout is a poll: no timed wait (and no futex call).
+    if (!ready() && (timeout.count() <= 0 ||
+                     !not_empty_.wait_for(lock, timeout, ready)))
         return false;
     if (items_.empty()) return false; // closed and drained
     std::size_t pick = 0;

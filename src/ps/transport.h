@@ -7,9 +7,10 @@
  *
  *  - InProcTransport: every endpoint is a Mailbox in one process —
  *    threads as the cluster. This is the seed fabric, unchanged.
- *  - SocketTransport (ps/socket_transport.h): endpoints spread across
- *    processes, messages serialized (ps/wire.h) and framed (net/frame.h)
- *    over real TCP connections.
+ *  - SocketTransport (ps/socket_transport.h): one endpoint per process,
+ *    messages serialized (ps/wire.h) and framed (net/frame.h) over real
+ *    TCP connections, read by the thread that calls recv() — no reader
+ *    threads.
  *
  * Every endpoint (shard, worker, control) owns a mailbox; send() never
  * blocks the receiver's processing and recv() blocks with a timeout.
@@ -69,7 +70,8 @@ struct Message
 {
     enum class Kind {
         kPush,   ///< worker -> shard: quantized gradient for the shard's slice
-        kAck,    ///< shard -> worker: push outcome (accepted / staleness-gated)
+        kAck,    ///< shard -> worker: push outcome (accepted / gated);
+                 ///< an applied push's ack carries the post-apply slice
         kPull,   ///< worker -> shard: request the current slice
         kModel,  ///< shard -> worker: slice weights + version
         kRetire, ///< worker -> shard: done pushing; drop me from the SSP gate
@@ -85,7 +87,7 @@ struct Message
     std::uint64_t version = 0; ///< shard version (kAck / kModel)
     bool accepted = true;      ///< kAck: false = gated, retry after backoff
     WireGradient gradient;     ///< kPush payload
-    std::vector<float> weights; ///< kModel payload
+    std::vector<float> weights; ///< kModel payload; applied kAck's slice
     std::vector<double> stats;  ///< kStats reply: flattened ShardMetrics
 
     /// Distributed-trace context + timestamps. On the socket fabric this
@@ -110,14 +112,14 @@ struct Message
     /// Bytes this message would occupy on an idealized wire (header +
     /// payload, no transport framing) — the byte accounting both fabrics
     /// share so Cs-tier traffic numbers are comparable across them.
+    /// Weights and stats count on every kind: an ack that carries the
+    /// shard's slice costs what a kModel reply of that slice costs.
     std::size_t wire_bytes() const
     {
-        if (kind == Kind::kPush) return gradient.wire_bytes();
-        if (kind == Kind::kModel)
-            return kWireHeaderBytes + weights.size() * sizeof(float);
-        if (kind == Kind::kStats)
-            return kWireHeaderBytes + stats.size() * sizeof(double);
-        return kWireHeaderBytes;
+        return (kind == Kind::kPush ? gradient.wire_bytes()
+                                    : kWireHeaderBytes) +
+               weights.size() * sizeof(float) +
+               stats.size() * sizeof(double);
     }
 };
 
@@ -249,8 +251,9 @@ class RpcClient
      * Issues `request` to endpoint `to` and returns the matching reply.
      * Stale replies (retransmission duplicates, reordered leftovers) are
      * discarded by token.
-     * @throws std::runtime_error when the transport closes mid-call or
-     *         the retransmission cap is exhausted.
+     * @throws std::runtime_error when the transport closes mid-call,
+     *         the retransmission cap is exhausted, or the transport's
+     *         send throws (a SocketTransport that lost a peer).
      */
     Message call(std::size_t to, Message request);
 

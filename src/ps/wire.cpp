@@ -27,6 +27,13 @@ serialize_message(const Message& message)
 {
     std::vector<std::uint8_t> out;
     out.reserve(serialized_bytes(message));
+    append_message(message, out);
+    return out;
+}
+
+void
+append_message(const Message& message, std::vector<std::uint8_t>& out)
+{
     net::ByteWriter writer(out);
     // Each array travels as a u32 element count, then its elements.
     const auto counted = [&writer](const auto& values) {
@@ -60,7 +67,6 @@ serialize_message(const Message& message)
     // context exists, so tracing-off output is byte-identical to the
     // pre-trace wire format.
     if (message.trace.ctx.valid()) obs::append_trace_block(out, message.trace);
-    return out;
 }
 
 bool

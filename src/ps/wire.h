@@ -69,6 +69,10 @@ std::size_t serialized_bytes(const Message& message);
 /// Flattens `message` into the layout above.
 std::vector<std::uint8_t> serialize_message(const Message& message);
 
+/// Appends the same bytes to `out` — for a writer that puts a frame
+/// header in front of the message without a second copy.
+void append_message(const Message& message, std::vector<std::uint8_t>& out);
+
 /// Parses `data[0..n)` into `out`. False (out unspecified) on a
 /// truncated, oversized, or otherwise malformed buffer.
 bool deserialize_message(const std::uint8_t* data, std::size_t n,

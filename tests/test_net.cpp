@@ -16,11 +16,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <poll.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -349,6 +352,43 @@ TEST(NetWire, GoldenModelReplyBytes)
         0, 0, 0, 0,                       // stats count
     };
     EXPECT_EQ(ps::serialize_message(golden_model_reply()), golden);
+}
+
+TEST(NetWire, GoldenAckWithSliceBytes)
+{
+    // The ack of an applied push carries the shard's post-apply slice in
+    // the counted weight array every message already has: no new flag,
+    // so an old parser reads it and an old worker ignores the slice.
+    Message m;
+    m.kind = Message::Kind::kAck;
+    m.accepted = true;
+    m.sender = 1;
+    m.token = 0x21;
+    m.version = 5;
+    m.weights = {0.25f, -1.0f};
+    const std::vector<std::uint8_t> golden = {
+        1, 1, 0, 32,                      // kind=kAck, accepted, Cs32
+        1, 0, 0, 0,                       // sender
+        0, 0, 0, 0,                       // worker
+        0x21, 0, 0, 0, 0, 0, 0, 0,        // token
+        0, 0, 0, 0, 0, 0, 0, 0,           // clock
+        5, 0, 0, 0, 0, 0, 0, 0,           // version
+        0, 0, 0, 0,                       // gradient count
+        0, 0, 0, 0,                       // gradient scale
+        0, 0, 0, 0,                       // norm count
+        0, 0, 0, 0,                       // payload size
+        2, 0, 0, 0,                       // weight count
+        0x00, 0x00, 0x80, 0x3E,           // 0.25f
+        0x00, 0x00, 0x80, 0xBF,           // -1.0f
+        0, 0, 0, 0,                       // stats count
+    };
+    const std::vector<std::uint8_t> bytes = ps::serialize_message(m);
+    EXPECT_EQ(bytes, golden);
+    Message out;
+    ASSERT_TRUE(ps::deserialize_message(bytes.data(), bytes.size(), out));
+    EXPECT_EQ(out.kind, Message::Kind::kAck);
+    EXPECT_TRUE(out.accepted);
+    EXPECT_EQ(out.weights, m.weights);
 }
 
 Message
@@ -844,6 +884,89 @@ TEST(NetGolden, MutationFuzzKeepsDecoderTotal)
     EXPECT_GT(accepted, 1000u);
 }
 
+/// A frame payload as the socket fabric sends it: destination endpoint,
+/// then the serialized message.
+std::vector<std::uint8_t>
+fabric_payload(std::uint32_t dest, const Message& m)
+{
+    std::vector<std::uint8_t> payload;
+    net::ByteWriter(payload).u32(dest);
+    ps::append_message(m, payload);
+    return payload;
+}
+
+/// What read_frame takes out of `bytes` written to a socket that is then
+/// closed: the frames, and the result that ended the reading.
+struct ReadFrames
+{
+    std::vector<std::vector<std::uint8_t>> frames;
+    net::FrameResult end = net::FrameResult::kClosed;
+};
+
+ReadFrames
+read_frames(const std::vector<std::uint8_t>& bytes,
+            std::size_t max_payload_bytes)
+{
+    SocketPair pair;
+    EXPECT_TRUE(net::write_full(pair.a.get(), bytes.data(), bytes.size()));
+    pair.a.reset();
+    ReadFrames run;
+    std::vector<std::uint8_t> payload;
+    while ((run.end = net::read_frame(pair.b.get(), payload,
+                                      max_payload_bytes)) ==
+           net::FrameResult::kOk)
+        run.frames.push_back(payload);
+    return run;
+}
+
+TEST(NetFrame, SplitterMatchesReadFrameOnMutatedStreams)
+{
+    // FrameSplitter is the socket fabric's only reader. On any byte
+    // stream, cut anywhere, it must not throw, must extract exactly the
+    // frames read_frame extracts from the same bytes, and must stop
+    // where read_frame stops: a clean end, a truncated frame, or the
+    // same poison — which then sticks.
+    constexpr std::size_t kMaxPayload = 4096;
+    Message traced = golden_qsgd_push();
+    traced.trace.ctx = obs::make_root_context();
+    traced.trace.send_ts_ns = 42;
+    const std::vector<testutil::FuzzSeed> seeds = {
+        testutil::frame_stream_seed({fabric_payload(3, golden_model_reply()),
+                                     fabric_payload(0, golden_stats_reply()),
+                                     {}}),
+        testutil::frame_stream_seed({fabric_payload(0, golden_qsgd_push()),
+                                     fabric_payload(1, sample_sparse_push()),
+                                     fabric_payload(2, traced)}),
+    };
+    rng::Xorshift128Plus cuts(0xC075);
+    const std::size_t clean = testutil::fuzz_decoder(
+        seeds, 2000, 0x5B11, [&](const std::vector<std::uint8_t>& bytes) {
+            const testutil::FrameRun split =
+                testutil::split_frames(bytes, kMaxPayload, cuts);
+            const ReadFrames whole = read_frames(bytes, kMaxPayload);
+            EXPECT_EQ(split.frames, whole.frames);
+            switch (whole.end) {
+            case net::FrameResult::kClosed:
+                EXPECT_EQ(split.end, net::SplitResult::kNeedMore);
+                EXPECT_EQ(split.leftover, 0u);
+                break;
+            case net::FrameResult::kError: // a truncated last frame
+                EXPECT_EQ(split.end, net::SplitResult::kNeedMore);
+                EXPECT_GT(split.leftover, 0u);
+                break;
+            case net::FrameResult::kBadMagic:
+                EXPECT_EQ(split.end, net::SplitResult::kBadMagic);
+                break;
+            case net::FrameResult::kTooLarge:
+                EXPECT_EQ(split.end, net::SplitResult::kTooLarge);
+                break;
+            case net::FrameResult::kOk: ADD_FAILURE(); break;
+            }
+            return whole.end == net::FrameResult::kClosed;
+        });
+    EXPECT_GT(clean, 500u);
+}
+
 // ========================================================== NetQsgd
 
 TEST(NetQsgd, ResidualIsExactlyGradientMinusDecode)
@@ -918,23 +1041,29 @@ TEST(NetQsgd, CsQ4HalvesCs8Traffic)
 // ===================================================== NetTransport
 
 /// A listening "shard-side" transport and a dialing "client-side" one,
-/// covering endpoints {0} and {1} of a 2-endpoint cluster.
+/// hosting endpoints 0 and 1 of an `endpoints`-endpoint cluster (a raw
+/// peer in a test may speak for endpoint 2 of a 3-endpoint one).
 struct TransportPair
 {
     std::unique_ptr<ps::SocketTransport> server, client;
 
-    explicit TransportPair(ps::FaultModel client_faults = {})
+    explicit TransportPair(
+        ps::FaultModel client_faults = {},
+        std::chrono::milliseconds connect_timeout =
+            std::chrono::milliseconds(5000),
+        std::size_t endpoints = 2)
     {
         ps::SocketTransportConfig s;
-        s.endpoints = 2;
-        s.local = {0};
+        s.endpoints = endpoints;
+        s.local = 0;
         s.listen = true;
         server = std::make_unique<ps::SocketTransport>(std::move(s));
 
         ps::SocketTransportConfig c;
-        c.endpoints = 2;
-        c.local = {1};
+        c.endpoints = endpoints;
+        c.local = 1;
         c.peers[0] = {"127.0.0.1", server->port()};
+        c.connect_timeout = connect_timeout;
         c.faults = client_faults;
         client = std::make_unique<ps::SocketTransport>(std::move(c));
     }
@@ -944,36 +1073,60 @@ struct TransportPair
         client->close();
         server->close();
     }
+
+    /// Serves the server endpoint on its own thread until it closes:
+    /// every request is acked with its token and clock.
+    void
+    echo(WorkerGroup& thread)
+    {
+        thread.start(1, [this](std::size_t) {
+            ps::Message m;
+            for (;;) {
+                if (!server->recv(0, m, std::chrono::microseconds(500))) {
+                    if (server->closed()) return;
+                    continue;
+                }
+                ps::Message reply;
+                reply.kind = ps::Message::Kind::kAck;
+                reply.token = m.token;
+                reply.clock = m.clock;
+                server->send(m.sender, std::move(reply));
+            }
+        });
+    }
+
+    /// `calls` RPCs from the client endpoint; each reply must be its own.
+    void
+    expect_served(std::uint64_t calls)
+    {
+        ps::RpcClient rpc(*client, 1);
+        for (std::uint64_t c = 1; c <= calls; ++c) {
+            ps::Message request;
+            request.kind = ps::Message::Kind::kPull;
+            request.clock = c;
+            EXPECT_EQ(rpc.call(0, std::move(request)).clock, c);
+        }
+    }
 };
+
+/// A raw TCP peer dialing the server of `pair`.
+net::Fd
+dial_raw(const TransportPair& pair)
+{
+    std::string error;
+    net::Fd fd = net::connect_tcp({"127.0.0.1", pair.server->port()},
+                                  std::chrono::milliseconds(2000), &error);
+    EXPECT_TRUE(fd.valid()) << error;
+    return fd;
+}
 
 TEST(NetTransport, DeliversAndRepliesOverLoopback)
 {
     TransportPair pair;
     // Echo thread on the server endpoint: replies over the learned route.
     WorkerGroup echo;
-    echo.start(1, [&](std::size_t) {
-        ps::Message m;
-        for (;;) {
-            if (!pair.server->recv(0, m, std::chrono::microseconds(500))) {
-                if (pair.server->closed()) return;
-                continue;
-            }
-            ps::Message reply;
-            reply.kind = ps::Message::Kind::kAck;
-            reply.token = m.token;
-            reply.clock = m.clock;
-            pair.server->send(m.sender, std::move(reply));
-        }
-    });
-
-    ps::RpcClient rpc(*pair.client, 1);
-    for (std::uint64_t c = 1; c <= 20; ++c) {
-        ps::Message request;
-        request.kind = ps::Message::Kind::kPull;
-        request.clock = c;
-        const ps::Message reply = rpc.call(0, std::move(request));
-        EXPECT_EQ(reply.clock, c);
-    }
+    pair.echo(echo);
+    pair.expect_served(20);
     pair.server->close();
     echo.join();
     EXPECT_GE(pair.client->sent(), 20u);
@@ -988,20 +1141,7 @@ TEST(NetTransport, RpcRetriesThroughInjectedDrops)
     faults.seed = 99;
     TransportPair pair(faults);
     WorkerGroup echo;
-    echo.start(1, [&](std::size_t) {
-        ps::Message m;
-        for (;;) {
-            if (!pair.server->recv(0, m, std::chrono::microseconds(500))) {
-                if (pair.server->closed()) return;
-                continue;
-            }
-            ps::Message reply;
-            reply.kind = ps::Message::Kind::kAck;
-            reply.token = m.token;
-            reply.clock = m.clock;
-            pair.server->send(m.sender, std::move(reply));
-        }
-    });
+    pair.echo(echo);
 
     ps::RpcClient rpc(*pair.client, 1);
     for (std::uint64_t c = 1; c <= 50; ++c) {
@@ -1031,6 +1171,190 @@ TEST(NetTransport, PayloadsCrossTheSocketBitIdentically)
                                               2 * 1000 * 1000)));
     EXPECT_EQ(out.gradient.payload, sent_payload);
     EXPECT_EQ(ps::decode_gradient(out.gradient), sent_decode);
+}
+
+TEST(NetTransport, TrickledFrameArrivesWhileAnotherConnectionIsServed)
+{
+    // A raw peer (endpoint 2) writes one request a byte at a time. The
+    // serving thread reassembles it from many partial reads, and halfway
+    // through it keeps answering the client's connection.
+    TransportPair pair({}, std::chrono::milliseconds(5000), 3);
+    WorkerGroup echo;
+    pair.echo(echo);
+    net::Fd raw = dial_raw(pair);
+    Message request;
+    request.kind = Message::Kind::kPull;
+    request.sender = 2;
+    request.token = 77;
+    request.clock = 5;
+    const std::vector<std::uint8_t> frame =
+        net::make_frame(fabric_payload(0, request));
+    const auto trickle = [&](std::size_t from, std::size_t to) {
+        for (std::size_t i = from; i < to; ++i) {
+            ASSERT_TRUE(net::write_full(raw.get(), &frame[i], 1));
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+    };
+    trickle(0, frame.size() / 2);
+    pair.expect_served(10);
+    trickle(frame.size() / 2, frame.size());
+
+    net::set_recv_timeout(raw.get(), std::chrono::milliseconds(5000));
+    std::vector<std::uint8_t> payload;
+    ASSERT_EQ(net::read_frame(raw.get(), payload, net::kDefaultMaxFrameBytes),
+              net::FrameResult::kOk);
+    net::ByteReader reader(payload.data(), payload.size());
+    std::uint32_t dest = 0;
+    ASSERT_TRUE(reader.u32(&dest));
+    EXPECT_EQ(dest, 2u);
+    Message reply;
+    ASSERT_TRUE(
+        ps::deserialize_message(reader.cursor(), reader.remaining(), reply));
+    EXPECT_EQ(reply.kind, Message::Kind::kAck);
+    EXPECT_EQ(reply.token, 77u);
+    EXPECT_EQ(reply.clock, 5u);
+    pair.server->close();
+    echo.join();
+}
+
+TEST(NetTransport, BadMagicPeerIsDroppedOthersKeepBeingServed)
+{
+    TransportPair pair;
+    WorkerGroup echo;
+    pair.echo(echo);
+    pair.expect_served(3);
+    net::Fd raw = dial_raw(pair);
+    const std::uint8_t junk[16] = {'G', 'E', 'T', ' ', '/', ' ', 'H', 'T',
+                                   'T', 'P', '/', '1', '.', '1', '\r', '\n'};
+    ASSERT_TRUE(net::write_full(raw.get(), junk, sizeof(junk)));
+    // The server hangs up on the desynchronized stream...
+    pollfd hangup{raw.get(), POLLIN, 0};
+    ASSERT_EQ(::poll(&hangup, 1, 5000), 1) << "bad-magic peer not dropped";
+    std::uint8_t byte = 0;
+    EXPECT_LE(::recv(raw.get(), &byte, 1, 0), 0);
+    // ...and the well-behaved connection is served as before.
+    pair.expect_served(3);
+    pair.server->close();
+    echo.join();
+}
+
+TEST(NetTransport, CloseFromAnotherThreadWakesABlockedRecv)
+{
+    TransportPair pair;
+    std::promise<std::chrono::steady_clock::time_point> woke;
+    std::thread waiter([&] {
+        ps::Message m;
+        EXPECT_FALSE(pair.server->recv(0, m, std::chrono::seconds(10)));
+        woke.set_value(std::chrono::steady_clock::now());
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const auto closed_at = std::chrono::steady_clock::now();
+    pair.server->close();
+    auto returned = woke.get_future();
+    ASSERT_EQ(returned.wait_for(std::chrono::seconds(5)),
+              std::future_status::ready);
+    EXPECT_LT(returned.get() - closed_at, std::chrono::milliseconds(100));
+    waiter.join();
+}
+
+TEST(NetTransport, LargeFramesCrossingEachOtherBothComplete)
+{
+    // Both ends write an 8 MiB frame at the other at once — larger than
+    // the socket buffers. Each send finds its socket full while its peer
+    // is busy writing too: a send must keep reading inbound frames as it
+    // waits, or both block forever (a retransmitted large push crossing
+    // a large ack would do exactly this).
+    TransportPair pair;
+    Message hello;
+    hello.kind = Message::Kind::kPull;
+    hello.sender = 1;
+    pair.client->send(0, std::move(hello)); // teaches the server a route
+    Message got;
+    ASSERT_TRUE(pair.server->recv(0, got, std::chrono::seconds(5)));
+
+    const std::size_t count = (8u << 20) / sizeof(float);
+    const auto big = [count](Message::Kind kind, std::uint32_t sender,
+                             float base) {
+        Message m;
+        m.kind = kind;
+        m.sender = sender;
+        m.weights.resize(count);
+        for (std::size_t i = 0; i < count; ++i)
+            m.weights[i] = base + static_cast<float>(i % 4096);
+        return m;
+    };
+    const Message to_client = big(Message::Kind::kModel, 0, 1.0f);
+    const Message to_server = big(Message::Kind::kPush, 1, -1.0f);
+    Message at_client, at_server;
+    std::promise<void> client_done, server_done;
+    std::thread client_side([&] {
+        Message m = to_server;
+        pair.client->send(0, std::move(m));
+        EXPECT_TRUE(pair.client->recv(1, at_client, std::chrono::seconds(30)));
+        client_done.set_value();
+    });
+    std::thread server_side([&] {
+        Message m = to_client;
+        pair.server->send(1, std::move(m));
+        EXPECT_TRUE(pair.server->recv(0, at_server, std::chrono::seconds(30)));
+        server_done.set_value();
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    const bool finished =
+        client_done.get_future().wait_until(deadline) ==
+            std::future_status::ready &&
+        server_done.get_future().wait_until(deadline) ==
+            std::future_status::ready;
+    if (!finished) {
+        ADD_FAILURE() << "crossing large frames deadlocked";
+        pair.client->close(); // unblocks both sides so the test ends
+        pair.server->close();
+    }
+    client_side.join();
+    server_side.join();
+    EXPECT_EQ(at_client.weights, to_client.weights);
+    EXPECT_EQ(at_server.weights, to_server.weights);
+}
+
+TEST(NetTransport, LostPeerFailsTheCallNamingIt)
+{
+    // A shard that answered once and is then gone: the redial that finds
+    // nobody for the whole connect timeout must end the call with an
+    // error naming the peer, instead of redialing on each of the RPC
+    // layer's hundreds of retransmissions.
+    TransportPair pair({}, std::chrono::milliseconds(300));
+    const std::string address =
+        "127.0.0.1:" + std::to_string(pair.server->port());
+    WorkerGroup echo;
+    pair.echo(echo);
+    ps::RpcClient rpc(*pair.client, 1);
+    Message first;
+    first.kind = Message::Kind::kPull;
+    rpc.call(0, std::move(first));
+    pair.server->close();
+    echo.join();
+
+    std::promise<std::string> outcome;
+    std::thread caller([&] {
+        try {
+            Message again;
+            again.kind = Message::Kind::kPull;
+            rpc.call(0, std::move(again));
+            outcome.set_value("the call returned");
+        } catch (const std::runtime_error& e) {
+            outcome.set_value(e.what());
+        }
+    });
+    auto result = outcome.get_future();
+    if (result.wait_for(std::chrono::seconds(3)) !=
+        std::future_status::ready) {
+        ADD_FAILURE() << "a call to a lost peer did not fail within 3 s";
+        pair.client->close(); // fails the call, so the test ends
+    }
+    caller.join();
+    const std::string what = result.get();
+    EXPECT_NE(what.find(address), std::string::npos) << what;
 }
 
 // ======================================================= NetCluster

@@ -642,6 +642,26 @@ TEST(PsTransport, RejectsBadConfig)
     EXPECT_THROW(ps::InProcTransport(1, faults), std::runtime_error);
 }
 
+TEST(PsTransport, WireBytesCountArraysOnEveryKind)
+{
+    // A slice costs the same bytes whichever message carries it: moving
+    // it from a kModel reply into an ack must not shrink sent_bytes().
+    ps::Message model;
+    model.kind = ps::Message::Kind::kModel;
+    model.weights.assign(8, 1.0f);
+    ps::Message ack = model;
+    ack.kind = ps::Message::Kind::kAck;
+    EXPECT_EQ(ack.wire_bytes(), ps::kWireHeaderBytes + 8 * sizeof(float));
+    EXPECT_EQ(ack.wire_bytes(), model.wire_bytes());
+    ps::Message stats;
+    stats.kind = ps::Message::Kind::kStats;
+    stats.stats.assign(3, 0.0);
+    EXPECT_EQ(stats.wire_bytes(), ps::kWireHeaderBytes + 3 * sizeof(double));
+    ps::Message bare;
+    bare.kind = ps::Message::Kind::kAck;
+    EXPECT_EQ(bare.wire_bytes(), ps::kWireHeaderBytes);
+}
+
 // ===================================================== PsShard
 
 /// A shard on its own thread plus an RpcClient talking to it.
@@ -743,6 +763,33 @@ TEST(PsShard, DeduplicatesRetransmittedPush)
     // legitimately mints extra duplicates. Exactly-once is the pushes
     // count above, not the duplicate tally.
     EXPECT_GE(h.shard.metrics().duplicates, 1u);
+}
+
+TEST(PsShard, AppliedAckCarriesThePostApplySlice)
+{
+    // The ack of an applied push stands in for the worker's next pull:
+    // it carries the slice as it stands after the apply. A duplicate ack
+    // and an SSP nack carry none, so retransmissions cost what they did.
+    ShardHarness h(2, shard_config(2, 0));
+    const std::vector<float> g = {1.0f, -2.0f};
+    const ps::Message applied = h.push(0, 1, g);
+    ASSERT_TRUE(applied.accepted);
+    EXPECT_EQ(applied.weights, (std::vector<float>{-0.5f, 1.0f}));
+    EXPECT_EQ(applied.weights, h.pull());
+    const ps::Message duplicate = h.push(0, 1, g);
+    EXPECT_TRUE(duplicate.accepted);
+    EXPECT_TRUE(duplicate.weights.empty());
+    const ps::Message gated = h.push(0, 2, g); // worker 1 is at clock 0
+    EXPECT_FALSE(gated.accepted);
+    EXPECT_TRUE(gated.weights.empty());
+    h.transport.close();
+    h.thread.join();
+    // pull_bytes counts every slice shipped — the pull replies and the
+    // one applied ack — while pulls counts kPull requests only.
+    const ps::ShardMetrics& m = h.shard.metrics();
+    EXPECT_GE(m.pulls, 1u);
+    EXPECT_EQ(m.pull_bytes,
+              (m.pulls + 1) * (ps::kWireHeaderBytes + 2 * sizeof(float)));
 }
 
 TEST(PsShard, GatesRunawayWorkerUntilPeersCatchUp)
@@ -1018,36 +1065,42 @@ TEST(PsCluster, WorkerRejectsPullReplyThatDoesNotMatchItsSlice)
 {
     // A fake shard answers every pull with one weight too many (a shard
     // process started on a wider problem), or with the right width under
-    // the wrong kind. The worker must stop and name the shard instead of
-    // copying the reply past the end of its model replica.
+    // the wrong kind, or answers pulls well but acks a push with a slice
+    // one weight too wide. The worker must stop and name the shard
+    // instead of copying the reply past the end of its model replica.
     const auto& problem = cluster_problem();
     ps::ClusterConfig cfg = cluster_config(32);
     cfg.shards = 1;
     cfg.workers = 1;
     struct BadReply
     {
-        ps::Message::Kind kind;
-        std::size_t weights;
+        ps::Message::Kind pull_kind;
+        std::size_t pull_weights;
+        std::size_t ack_weights; ///< slice on the ack of every push
     };
-    for (const BadReply bad : {BadReply{ps::Message::Kind::kModel,
-                                        problem.dim + 1},
-                               BadReply{ps::Message::Kind::kAck,
-                                        problem.dim}}) {
+    for (const BadReply bad :
+         {BadReply{ps::Message::Kind::kModel, problem.dim + 1, 0},
+          BadReply{ps::Message::Kind::kAck, problem.dim, 0},
+          BadReply{ps::Message::Kind::kModel, problem.dim,
+                   problem.dim + 1}}) {
         ps::InProcTransport transport(ps::cluster_endpoints(cfg));
         std::thread fake_shard([&] {
             ps::Message request;
             while (transport.recv(0, request,
                                   std::chrono::milliseconds(5000))) {
+                const bool pull = request.kind == ps::Message::Kind::kPull;
                 ps::Message reply;
-                reply.kind = bad.kind;
+                reply.kind = pull ? bad.pull_kind : ps::Message::Kind::kAck;
                 reply.token = request.token;
-                reply.weights.assign(bad.weights, 0.0f);
+                reply.accepted = true;
+                reply.weights.assign(
+                    pull ? bad.pull_weights : bad.ack_weights, 0.0f);
                 transport.send(request.sender, std::move(reply));
             }
         });
         try {
             ps::run_worker_rounds(cfg, problem, 0, transport, nullptr);
-            ADD_FAILURE() << "worker accepted a mismatched pull reply";
+            ADD_FAILURE() << "worker accepted a mismatched slice";
         } catch (const std::runtime_error& e) {
             EXPECT_NE(std::string(e.what()).find("shard 0"),
                       std::string::npos)
@@ -1055,6 +1108,45 @@ TEST(PsCluster, WorkerRejectsPullReplyThatDoesNotMatchItsSlice)
         }
         transport.close();
         fake_shard.join();
+    }
+}
+
+TEST(PsCluster, WorkerPullsOnlyInItsFirstRound)
+{
+    // One worker, no faults, real shards: round one pulls each shard, and
+    // every later round computes on the slices its push acks carried. A
+    // shard serves another kPull only after an RPC retry (a retransmitted
+    // pull, or a pull after an ack that came back without its slice).
+    const auto& problem = cluster_problem();
+    ps::ClusterConfig cfg = cluster_config(8);
+    cfg.workers = 1;
+    cfg.rounds = 100;
+    ps::PsConfig ps_cfg;
+    ps_cfg.shards = cfg.shards;
+    ps_cfg.workers = cfg.workers;
+    ps_cfg.tau = cfg.tau;
+    ps_cfg.step_size = cfg.step_size;
+    ps_cfg.batch = cfg.batch;
+    ps_cfg.codec = cfg.codec;
+    ps::ParameterServer server(problem.dim, ps_cfg);
+    server.start();
+    const ps::WorkerStats stats = ps::run_worker_rounds(
+        cfg, problem, 0, server.transport(), nullptr);
+    server.stop();
+    const ps::PsMetrics metrics = server.metrics();
+    ASSERT_EQ(metrics.shards.size(), cfg.shards);
+    for (std::size_t s = 0; s < cfg.shards; ++s) {
+        const ps::ShardMetrics& shard = metrics.shards[s];
+        EXPECT_EQ(shard.pushes, cfg.rounds) << "shard " << s;
+        EXPECT_GE(shard.pulls, 1u) << "shard " << s;
+        EXPECT_LE(shard.pulls, 1 + stats.retries) << "shard " << s;
+        // Every pull reply and every applied ack shipped the slice once.
+        const std::size_t width = ps::slice_end(problem.dim, cfg.shards, s) -
+                                  ps::slice_begin(problem.dim, cfg.shards, s);
+        EXPECT_EQ(shard.pull_bytes,
+                  (shard.pulls + shard.pushes) *
+                      (ps::kWireHeaderBytes + width * sizeof(float)))
+            << "shard " << s;
     }
 }
 
@@ -1124,16 +1216,21 @@ power_of_two_sparse_problem()
 /// shard records a push once per clock (a retransmission is only acked)
 /// and answers a pull with -2^-4 times the sum of the pushes it has
 /// recorded, decoded: the worker trains, and a retransmitted pull gets
-/// the same answer.
+/// the same answer. With `slices_in_acks` the ack of a recorded push
+/// carries that same slice, as a real shard's does; without, the worker
+/// falls back to a pull every round. A fake shard's answer depends only
+/// on its own recorded pushes, so both modes must give the same bytes.
 template <typename Problem>
 std::uint64_t
-worker_push_hash(const Problem& problem, ps::ClusterConfig cfg)
+worker_push_hash(const Problem& problem, ps::ClusterConfig cfg,
+                 bool slices_in_acks)
 {
     cfg.workers = 1;
     cfg.shards = 2;
     cfg.impl = simd::Impl::kReference;
     ps::InProcTransport transport(ps::cluster_endpoints(cfg));
     std::vector<std::vector<std::vector<std::uint8_t>>> pushes(cfg.shards);
+    std::vector<std::uint64_t> pulls(cfg.shards, 0);
     WorkerGroup shards;
     shards.start(cfg.shards, [&](std::size_t s) {
         std::vector<float> weights(
@@ -1147,6 +1244,7 @@ worker_push_hash(const Problem& problem, ps::ClusterConfig cfg)
             reply.token = request.token;
             reply.accepted = true;
             if (request.kind == ps::Message::Kind::kPull) {
+                ++pulls[s];
                 reply.kind = ps::Message::Kind::kModel;
                 reply.weights = weights;
             } else if (request.kind == ps::Message::Kind::kPush &&
@@ -1170,14 +1268,23 @@ worker_push_hash(const Problem& problem, ps::ClusterConfig cfg)
                     for (std::size_t k = 0; k < g.size(); ++k)
                         weights[k] -= 0x1p-4f * g[k];
                 }
+                if (slices_in_acks) reply.weights = weights;
             }
             transport.send(request.sender, std::move(reply));
         }
     });
-    ps::run_worker_rounds(cfg, problem, 0, transport, nullptr);
+    const ps::WorkerStats stats =
+        ps::run_worker_rounds(cfg, problem, 0, transport, nullptr);
     transport.close();
     shards.join();
 
+    // Proof that each mode ran the path it names.
+    for (const std::uint64_t served : pulls) {
+        if (slices_in_acks)
+            EXPECT_LE(served, 1 + stats.retries);
+        else
+            EXPECT_GE(served, cfg.rounds);
+    }
     std::uint64_t hash = 0xcbf29ce484222325ull;
     for (const auto& shard : pushes) {
         EXPECT_EQ(shard.size(), cfg.rounds);
@@ -1203,31 +1310,48 @@ TEST(PsWorker, DensePushesMatchGoldens)
 {
     // A change to the round loop that moves these bytes changes what
     // workers train on: these goldens fail by design, bump them
-    // consciously.
+    // consciously. Slices from acks and slices from pulls are the same
+    // slices, so both give the same bytes.
     const auto problem = power_of_two_dense_problem();
-    EXPECT_EQ(worker_push_hash(problem, golden_worker_config(
-                                            ps::Codec::from_bits(32))),
-              0x9f9d5a5f52fde163ull);
-    EXPECT_EQ(worker_push_hash(problem, golden_worker_config(
-                                            ps::Codec::from_bits(8))),
-              0x6b54e96004350d0full);
-    EXPECT_EQ(worker_push_hash(problem,
-                               golden_worker_config(ps::Codec::qsgd(4))),
-              0xc06e7a0b6daca952ull);
+    for (const bool slices_in_acks : {true, false}) {
+        SCOPED_TRACE(slices_in_acks ? "slices in acks" : "pull fallback");
+        EXPECT_EQ(worker_push_hash(problem,
+                                   golden_worker_config(
+                                       ps::Codec::from_bits(32)),
+                                   slices_in_acks),
+                  0x9f9d5a5f52fde163ull);
+        EXPECT_EQ(worker_push_hash(problem,
+                                   golden_worker_config(
+                                       ps::Codec::from_bits(8)),
+                                   slices_in_acks),
+                  0x6b54e96004350d0full);
+        EXPECT_EQ(worker_push_hash(problem,
+                                   golden_worker_config(ps::Codec::qsgd(4)),
+                                   slices_in_acks),
+                  0xc06e7a0b6daca952ull);
+    }
 }
 
 TEST(PsWorker, SparsePushesMatchGoldens)
 {
     const auto problem = power_of_two_sparse_problem();
-    EXPECT_EQ(worker_push_hash(problem, golden_worker_config(
-                                            ps::Codec::from_bits(32))),
-              0x50d6dd9690c1c860ull);
-    EXPECT_EQ(worker_push_hash(problem, golden_worker_config(
-                                            ps::Codec::from_bits(8))),
-              0xeceadfd31c8c87abull);
-    EXPECT_EQ(worker_push_hash(problem,
-                               golden_worker_config(ps::Codec::qsgd(4))),
-              0xeea13fab142ddf50ull);
+    for (const bool slices_in_acks : {true, false}) {
+        SCOPED_TRACE(slices_in_acks ? "slices in acks" : "pull fallback");
+        EXPECT_EQ(worker_push_hash(problem,
+                                   golden_worker_config(
+                                       ps::Codec::from_bits(32)),
+                                   slices_in_acks),
+                  0x50d6dd9690c1c860ull);
+        EXPECT_EQ(worker_push_hash(problem,
+                                   golden_worker_config(
+                                       ps::Codec::from_bits(8)),
+                                   slices_in_acks),
+                  0xeceadfd31c8c87abull);
+        EXPECT_EQ(worker_push_hash(problem,
+                                   golden_worker_config(ps::Codec::qsgd(4)),
+                                   slices_in_acks),
+                  0xeea13fab142ddf50ull);
+    }
 }
 
 TEST(PsCluster, RejectsBadConfig)

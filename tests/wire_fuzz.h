@@ -14,6 +14,12 @@
  * and parses again to the same message (compared by serializing both).
  * The iteration count and the generator seed are fixed, so a failure
  * names a reproducible (seed, iteration) pair.
+ *
+ * fuzz_decoder() also fuzzes net::FrameSplitter, the incremental frame
+ * decoder: a seed is then a stream of golden frames back to back, its
+ * count fields the frames' length prefixes, and split_frames() feeds
+ * each mutant to a splitter cut at random points, the way partial
+ * non-blocking reads deliver it.
  */
 #ifndef BUCKWILD_TESTS_WIRE_FUZZ_H
 #define BUCKWILD_TESTS_WIRE_FUZZ_H
@@ -25,6 +31,7 @@
 #include <exception>
 #include <vector>
 
+#include "net/frame.h"
 #include "rng/xorshift.h"
 
 namespace buckwild::testutil {
@@ -121,6 +128,69 @@ fuzz_decoder(const std::vector<FuzzSeed>& seeds, int iterations,
         }
     }
     return accepted;
+}
+
+/// What a frame decoder took out of a byte stream and how it stopped.
+struct FrameRun
+{
+    std::vector<std::vector<std::uint8_t>> frames;
+    /// kNeedMore when the bytes ran out, else the poison that stopped it.
+    net::SplitResult end = net::SplitResult::kNeedMore;
+    /// Bytes left buffered after the last whole frame (0 = clean end).
+    std::size_t leftover = 0;
+};
+
+/// A seed stream of `frames`, framed back to back, whose count fields are
+/// the frames' length prefixes.
+inline FuzzSeed
+frame_stream_seed(const std::vector<std::vector<std::uint8_t>>& frames)
+{
+    FuzzSeed seed;
+    for (const std::vector<std::uint8_t>& payload : frames) {
+        seed.counts.push_back({seed.bytes.size() + 4, 4});
+        const std::vector<std::uint8_t> frame = net::make_frame(payload);
+        seed.bytes.insert(seed.bytes.end(), frame.begin(), frame.end());
+    }
+    return seed;
+}
+
+/**
+ * Feeds `bytes` to a fresh FrameSplitter in chunks cut at random points
+ * (a single byte a quarter of the time), draining whole frames after
+ * each chunk. Checks that poisoning is sticky: once next() reports
+ * kBadMagic or kTooLarge, a valid frame pushed afterwards is refused
+ * and never extracted.
+ */
+inline FrameRun
+split_frames(const std::vector<std::uint8_t>& bytes,
+             std::size_t max_payload_bytes, rng::Xorshift128Plus& rng)
+{
+    net::FrameSplitter splitter(max_payload_bytes);
+    FrameRun run;
+    std::vector<std::uint8_t> payload;
+    for (std::size_t at = 0; at < bytes.size();) {
+        const std::size_t left = bytes.size() - at;
+        const std::size_t chunk = rng() % 4 == 0 ? 1 : 1 + rng() % left;
+        EXPECT_EQ(splitter.push(bytes.data() + at, chunk),
+                  net::SplitResult::kNeedMore);
+        at += chunk;
+        net::SplitResult result;
+        while ((result = splitter.next(payload)) == net::SplitResult::kFrame)
+            run.frames.push_back(payload);
+        if (result != net::SplitResult::kNeedMore) {
+            run.end = result;
+            break;
+        }
+    }
+    run.leftover = splitter.buffered();
+    if (run.end != net::SplitResult::kNeedMore) {
+        EXPECT_TRUE(splitter.poisoned());
+        const std::vector<std::uint8_t> valid = net::make_frame({1, 2, 3});
+        EXPECT_EQ(splitter.push(valid.data(), valid.size()),
+                  net::SplitResult::kBadMagic);
+        EXPECT_EQ(splitter.next(payload), net::SplitResult::kBadMagic);
+    }
+    return run;
 }
 
 } // namespace buckwild::testutil
