@@ -383,39 +383,13 @@ detail::finish_cluster_result(const Problem& problem,
 
 namespace {
 
-bool
-write_all_fd(int fd, const void* data, std::size_t n)
-{
-    const char* bytes = static_cast<const char*>(data);
-    std::size_t off = 0;
-    while (off < n) {
-        const ssize_t w = ::write(fd, bytes + off, n - off);
-        if (w < 0 && errno == EINTR) continue;
-        if (w <= 0) return false;
-        off += static_cast<std::size_t>(w);
-    }
-    return true;
-}
-
-bool
-read_all_fd(int fd, void* data, std::size_t n)
-{
-    char* bytes = static_cast<char*>(data);
-    std::size_t off = 0;
-    while (off < n) {
-        const ssize_t r = ::read(fd, bytes + off, n - off);
-        if (r < 0 && errno == EINTR) continue;
-        if (r <= 0) return false;
-        off += static_cast<std::size_t>(r);
-    }
-    return true;
-}
-
-///// Child-side observability bring-up for a spawned node: tags the
+/// Child-side observability bring-up for a spawned node: tags the
 /// tracer with the child's role and, when the fleet view is on, serves
 /// this process's registry on an ephemeral /metrics port — reported to
 /// the parent through `port_fd` before any training traffic, so the
-/// parent can assemble its target list without racing the run.
+/// parent can assemble its target list without racing the run. (Every
+/// spawn pipe goes through net's exact-count pair with ::write/::read,
+/// since send/recv refuse a pipe.)
 std::unique_ptr<obs::HttpExporter>
 start_child_obs(const ClusterConfig& config, const std::string& role,
                 int port_fd)
@@ -434,7 +408,7 @@ start_child_obs(const ClusterConfig& config, const std::string& role,
         // leaves this node out of the fleet view.
         const std::uint32_t port =
             exporter->start() ? exporter->port() : 0;
-        if (!write_all_fd(port_fd, &port, sizeof port))
+        if (!net::write_full(port_fd, &port, sizeof port, ::write))
             warn("cluster: child could not report its /metrics port");
     }
     return exporter;
@@ -534,8 +508,8 @@ train_cluster_multiprocess(const Problem& problem,
     // a port of 0 (bind failure, dead child) drops it from the fleet.
     std::vector<std::uint32_t> shard_ports(shards, 0);
     for (std::size_t s = 0; s < shard_port_pipes.size(); ++s) {
-        if (!read_all_fd(shard_port_pipes[s], &shard_ports[s],
-                         sizeof(shard_ports[s])))
+        if (!net::read_full(shard_port_pipes[s], &shard_ports[s],
+                            sizeof(shard_ports[s]), ::read))
             shard_ports[s] = 0;
         ::close(shard_port_pipes[s]);
     }
@@ -569,11 +543,12 @@ train_cluster_multiprocess(const Problem& problem,
                     start_child_obs(config, role, fds[1]);
                 const WorkerStats stats =
                     run_worker_node(config, problem, w, addresses);
-                if (!write_all_fd(fds[1], &stats, sizeof(stats)))
+                if (!net::write_full(fds[1], &stats, sizeof(stats), ::write))
                     code = 1;
                 if (ack_fds[0] >= 0) {
                     char ack = 0;
-                    read_all_fd(ack_fds[0], &ack, 1); // parent scraped
+                    // Returns once the parent has scraped.
+                    net::read_full(ack_fds[0], &ack, 1, ::read);
                 }
                 finish_child_obs(config, role, std::move(exporter));
             } catch (...) {
@@ -594,8 +569,8 @@ train_cluster_multiprocess(const Problem& problem,
     std::vector<std::uint32_t> worker_ports(workers, 0);
     if (config.fleet_port >= 0)
         for (std::size_t w = 0; w < workers; ++w)
-            if (!read_all_fd(stat_pipes[w], &worker_ports[w],
-                             sizeof(worker_ports[w])))
+            if (!net::read_full(stat_pipes[w], &worker_ports[w],
+                                sizeof(worker_ports[w]), ::read))
                 worker_ports[w] = 0;
 
     // All forks are done — threads are safe again. The parent becomes
@@ -640,17 +615,10 @@ train_cluster_multiprocess(const Problem& problem,
     // short read means the worker died mid-run.
     std::vector<WorkerStats> worker_stats(workers);
     for (std::size_t w = 0; w < workers; ++w) {
-        auto* bytes = reinterpret_cast<char*>(&worker_stats[w]);
-        std::size_t off = 0;
-        while (off < sizeof(WorkerStats)) {
-            const ssize_t n = ::read(stat_pipes[w], bytes + off,
-                                     sizeof(WorkerStats) - off);
-            if (n < 0 && errno == EINTR) continue;
-            if (n <= 0) break;
-            off += static_cast<std::size_t>(n);
-        }
+        const bool reported = net::read_full(
+            stat_pipes[w], &worker_stats[w], sizeof(WorkerStats), ::read);
         ::close(stat_pipes[w]);
-        if (off != sizeof(WorkerStats)) {
+        if (!reported) {
             if (ack_pipes[w] >= 0) ::close(ack_pipes[w]);
             fatal("worker process " + std::to_string(w) +
                   " died before reporting stats");
@@ -660,7 +628,7 @@ train_cluster_multiprocess(const Problem& problem,
             // final numbers into the last-good cache, then release it.
             if (fleet != nullptr) fleet->merged_body();
             const char ack = 1;
-            write_all_fd(ack_pipes[w], &ack, 1);
+            net::write_full(ack_pipes[w], &ack, 1, ::write);
             ::close(ack_pipes[w]);
         }
     }

@@ -19,6 +19,7 @@ validate_ps_config(std::size_t dim, const PsConfig& config)
     validate_codec(config.codec);
     if (!(config.step_size > 0.0f)) fatal("step_size must be positive");
     if (config.batch == 0) fatal("batch must be >= 1");
+    validate_faults(config.faults);
 }
 
 void

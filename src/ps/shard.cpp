@@ -48,29 +48,46 @@ ServerShard::run()
             if (transport_.closed()) break;
             continue;
         }
-        switch (message.kind) {
-          case Message::Kind::kPush: handle_push(std::move(message)); break;
-          case Message::Kind::kPull: handle_pull(std::move(message)); break;
-          case Message::Kind::kRetire:
-            handle_retire(std::move(message));
-            break;
-          case Message::Kind::kStats: handle_stats(std::move(message)); break;
-          case Message::Kind::kShutdown: {
-            // Ack first, then leave the loop: the shard process exits
-            // while the controller still gets its confirmation.
-            Message ack;
-            ack.kind = Message::Kind::kAck;
-            ack.token = message.token;
-            ack.worker = message.worker;
-            ack.accepted = true;
-            ack.version = version_.load(std::memory_order_relaxed);
-            stamp_reply_trace(message, ack);
-            transport_.send(message.sender, std::move(ack));
-            return;
-          }
-          default: panic("shard received a reply-kind message");
+        // Any peer can send a well-framed request this shard cannot
+        // serve. Like an unparseable frame, it is dropped: the shard
+        // outlives it, and a genuine sender's retransmit recovers.
+        try {
+            if (!handle(std::move(message))) return;
+        } catch (const std::runtime_error& e) {
+            warn("ps: shard " + std::to_string(index_) +
+                 " dropped a malformed request: " + e.what());
+            BUCKWILD_OBS_COUNT("ps.shard.malformed", 1);
         }
     }
+}
+
+bool
+ServerShard::handle(Message&& message)
+{
+    if (message.sender >= transport_.endpoints())
+        fatal("reply endpoint " + std::to_string(message.sender) +
+              " out of range");
+    switch (message.kind) {
+      case Message::Kind::kPush: handle_push(std::move(message)); break;
+      case Message::Kind::kPull: handle_pull(std::move(message)); break;
+      case Message::Kind::kRetire: handle_retire(std::move(message)); break;
+      case Message::Kind::kStats: handle_stats(std::move(message)); break;
+      case Message::Kind::kShutdown: {
+        // Ack first, then leave the loop: the shard process exits while
+        // the controller still gets its confirmation.
+        Message ack;
+        ack.kind = Message::Kind::kAck;
+        ack.token = message.token;
+        ack.worker = message.worker;
+        ack.accepted = true;
+        ack.version = version_.load(std::memory_order_relaxed);
+        stamp_reply_trace(message, ack);
+        transport_.send(message.sender, std::move(ack));
+        return false;
+      }
+      default: fatal("a reply kind is not a request");
+    }
+    return true;
 }
 
 std::uint64_t
@@ -85,19 +102,20 @@ ServerShard::min_live_clock() const
 void
 ServerShard::handle_push(Message&& push)
 {
-    if (push.worker >= clocks_.size()) panic("push from unknown worker");
+    if (push.worker >= clocks_.size()) fatal("push from unknown worker");
     // Records a child span of the worker's push RPC — the server half
     // of the cross-process trace (no-op unless tracing is on and the
     // push carried a context).
     obs::TracedSpan handler_span("ps", "shard.push", push.trace.ctx);
     // Wire hop: worker send -> shard arrival. Exact on one host (forked
     // cluster, shared CLOCK_MONOTONIC); cross-host it is offset-skewed
-    // online and corrected offline by buckwild_tracemerge.
+    // online and corrected offline by buckwild_tracemerge. The stamp is
+    // the sender's: subtracted as doubles, a hostile one cannot overflow.
     if (push.trace.ctx.valid() && push.trace.send_ts_ns != 0 &&
         push.recv_ts_ns != 0)
-        hop_push_wire_.record(
-            static_cast<double>(push.recv_ts_ns - push.trace.send_ts_ns) *
-            1e-9);
+        hop_push_wire_.record((static_cast<double>(push.recv_ts_ns) -
+                               static_cast<double>(push.trace.send_ts_ns)) *
+                              1e-9);
     Message ack;
     ack.kind = Message::Kind::kAck;
     ack.token = push.token;
@@ -132,7 +150,7 @@ ServerShard::handle_push(Message&& push)
     const bool sparse = push.gradient.sparse();
     if (sparse ? push.gradient.dim != size()
                : push.gradient.count != size())
-        panic("push gradient does not match the shard slice");
+        fatal("push gradient does not match the shard slice");
 
     // Apply through the registered kernels: the dense float AXPY the
     // Hogwild! trainer uses, or — for a sparse push — the gather-scatter
@@ -266,7 +284,7 @@ ServerShard::handle_stats(Message&& request)
 void
 ServerShard::handle_retire(Message&& retire)
 {
-    if (retire.worker >= retired_.size()) panic("retire of unknown worker");
+    if (retire.worker >= retired_.size()) fatal("retire of unknown worker");
     retired_[retire.worker] = true;
     Message ack;
     ack.kind = Message::Kind::kAck;

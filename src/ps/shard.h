@@ -59,8 +59,11 @@ class ServerShard
                 const ShardConfig& config, Transport& transport);
 
     /// The message loop; runs until the transport closes and the mailbox
-    /// drains, or a kShutdown arrives (multi-process teardown). Call on a
-    /// dedicated thread.
+    /// drains, or a kShutdown arrives (multi-process teardown). A request
+    /// the shard cannot serve (unknown worker or reply endpoint, a
+    /// gradient that is not its slice or does not decode, a reply kind)
+    /// is dropped with a warning and counted in ps.shard.malformed. Call
+    /// on a dedicated thread.
     void run();
 
     std::size_t index() const { return index_; }
@@ -80,6 +83,9 @@ class ServerShard
     const ShardMetrics& metrics() const { return metrics_; }
 
   private:
+    /// Serves one request; false once it was a kShutdown.
+    /// @throws std::runtime_error on a request this shard cannot serve.
+    bool handle(Message&& message);
     void handle_push(Message&& push);
     void handle_pull(Message&& pull);
     void handle_stats(Message&& request);

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <thread>
 
 #include "net/bytes.h"
 #include "obs/obs.h"
@@ -27,19 +26,16 @@ constexpr std::size_t kReadChunkBytes = 64 * 1024;
 } // namespace
 
 SocketTransport::SocketTransport(SocketTransportConfig config)
-    : config_(std::move(config)),
+    : Transport(config.faults), config_(std::move(config)),
       mailbox_(config_.faults.reorder_window,
                [seed = std::uint64_t{config_.faults.seed ^ 0x50C7u}]() mutable {
                    return rng::splitmix64(seed);
-               }()),
-      fault_rng_(config_.faults.seed)
+               }())
 {
     if (config_.endpoints == 0)
         fatal("socket transport needs at least one endpoint");
     if (config_.local >= config_.endpoints)
         fatal("local endpoint out of range");
-    if (config_.faults.drop_prob < 0.0 || config_.faults.drop_prob >= 1.0)
-        fatal("drop_prob must be in [0, 1)");
     for (const auto& [endpoint, address] : config_.peers)
         if (endpoint >= config_.endpoints)
             fatal("peer endpoint " + std::to_string(endpoint) +
@@ -276,26 +272,9 @@ void
 SocketTransport::send(std::size_t to, Message&& message)
 {
     if (to >= config_.endpoints) panic("send to unknown endpoint");
-    sent_.fetch_add(1, std::memory_order_relaxed);
-    sent_bytes_.fetch_add(message.wire_bytes(), std::memory_order_relaxed);
-    BUCKWILD_OBS_COUNT("ps.transport.sent", 1);
-    BUCKWILD_OBS_COUNT("ps.transport.sent_bytes", message.wire_bytes());
-
     // Injected faults apply identically over sockets: drops before the
     // syscall, jitter on the sender's clock.
-    if (config_.faults.any()) {
-        if (config_.faults.drop_prob > 0.0 &&
-            static_cast<double>(fault_rng_() >> 11) * 0x1.0p-53 <
-                config_.faults.drop_prob) {
-            dropped_.fetch_add(1, std::memory_order_relaxed);
-            BUCKWILD_OBS_COUNT("ps.transport.dropped", 1);
-            BUCKWILD_OBS_INSTANT("ps", "transport.drop");
-            return;
-        }
-        if (config_.faults.jitter_us > 0)
-            std::this_thread::sleep_for(std::chrono::microseconds(
-                fault_rng_() % (config_.faults.jitter_us + 1)));
-    }
+    if (!injector_.admit(message)) return;
 
     if (to == config_.local) {
         message.recv_ts_ns = obs::trace_now_ns();
@@ -307,7 +286,7 @@ SocketTransport::send(std::size_t to, Message&& message)
     if (connection == nullptr || !write_message(connection, to, message)) {
         // Unreachable peer == lost message; the RPC layer retransmits
         // (and the retransmit re-dials through route_for).
-        dropped_.fetch_add(1, std::memory_order_relaxed);
+        injector_.lost();
         BUCKWILD_OBS_COUNT("net.drops", 1);
     }
 }
@@ -321,8 +300,7 @@ SocketTransport::recv(std::size_t at, Message& out,
     // The sockets are read at least once, even with no time left.
     for (bool polled = false;; polled = true) {
         if (mailbox_.pop(out, std::chrono::microseconds(0))) {
-            recv_bytes_.fetch_add(out.wire_bytes(),
-                                  std::memory_order_relaxed);
+            injector_.received(out);
             return true;
         }
         const auto left = std::chrono::duration_cast<std::chrono::nanoseconds>(

@@ -110,7 +110,6 @@ class SocketTransport final : public Transport
     SocketTransport& operator=(const SocketTransport&) = delete;
 
     std::size_t endpoints() const override { return config_.endpoints; }
-    const FaultModel& faults() const override { return config_.faults; }
 
     /// @throws std::runtime_error when a peer connected before cannot
     ///         be redialed within connect_timeout.
@@ -134,11 +133,6 @@ class SocketTransport final : public Transport
     {
         return std::chrono::milliseconds(2);
     }
-
-    std::uint64_t sent() const override { return sent_.load(); }
-    std::uint64_t dropped() const override { return dropped_.load(); }
-    std::uint64_t sent_bytes() const override { return sent_bytes_.load(); }
-    std::uint64_t recv_bytes() const override { return recv_bytes_.load(); }
 
     /// The port this transport listens on (0 when not listening).
     std::uint16_t port() const { return port_; }
@@ -203,13 +197,7 @@ class SocketTransport final : public Transport
     std::vector<std::uint8_t> payload_;
     std::vector<std::uint8_t> frame_;
 
-    rng::Xorshift128Plus fault_rng_;
-
     std::atomic<bool> closed_{false};
-    std::atomic<std::uint64_t> sent_{0};
-    std::atomic<std::uint64_t> dropped_{0};
-    std::atomic<std::uint64_t> sent_bytes_{0};
-    std::atomic<std::uint64_t> recv_bytes_{0};
 };
 
 } // namespace buckwild::ps

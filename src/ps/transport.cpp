@@ -58,14 +58,61 @@ Mailbox::size() const
     return items_.size();
 }
 
+// ---------------------------------------------------- FaultInjector
+
+void
+validate_faults(const FaultModel& faults)
+{
+    if (!(faults.drop_prob >= 0.0 && faults.drop_prob < 1.0))
+        fatal("drop_prob must be in [0, 1)");
+    if (faults.jitter_us > FaultModel::kMaxJitterUs)
+        fatal("jitter_us must be at most " +
+              std::to_string(FaultModel::kMaxJitterUs));
+}
+
+FaultInjector::FaultInjector(const FaultModel& faults)
+    : faults_(faults), rng_(faults.seed)
+{
+    validate_faults(faults_);
+}
+
+bool
+FaultInjector::admit(const Message& message)
+{
+    const std::size_t bytes = message.wire_bytes();
+    sent_.fetch_add(1, std::memory_order_relaxed);
+    sent_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+    BUCKWILD_OBS_COUNT("ps.transport.sent", 1);
+    BUCKWILD_OBS_COUNT("ps.transport.sent_bytes", bytes);
+    if (!faults_.any()) return true;
+    bool drop = false;
+    std::size_t delay_us = 0;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (faults_.drop_prob > 0.0)
+            drop = static_cast<double>(rng_() >> 11) * 0x1.0p-53 <
+                   faults_.drop_prob;
+        if (!drop && faults_.jitter_us > 0)
+            delay_us =
+                static_cast<std::size_t>(rng_() % (faults_.jitter_us + 1));
+    }
+    if (drop) {
+        dropped_.fetch_add(1, std::memory_order_relaxed);
+        BUCKWILD_OBS_COUNT("ps.transport.dropped", 1);
+        BUCKWILD_OBS_INSTANT("ps", "transport.drop");
+        return false;
+    }
+    if (delay_us > 0)
+        std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
+    return true;
+}
+
 // ------------------------------------------------- InProcTransport
 
 InProcTransport::InProcTransport(std::size_t endpoints, FaultModel faults)
-    : faults_(faults), fault_rng_(faults.seed)
+    : Transport(faults)
 {
     if (endpoints == 0) fatal("transport needs at least one endpoint");
-    if (faults_.drop_prob < 0.0 || faults_.drop_prob >= 1.0)
-        fatal("drop_prob must be in [0, 1)");
     mailboxes_.reserve(endpoints);
     std::uint64_t seed = faults.seed;
     for (std::size_t e = 0; e < endpoints; ++e)
@@ -77,33 +124,7 @@ void
 InProcTransport::send(std::size_t to, Message&& message)
 {
     if (to >= mailboxes_.size()) panic("send to unknown endpoint");
-    sent_.fetch_add(1, std::memory_order_relaxed);
-    sent_bytes_.fetch_add(message.wire_bytes(), std::memory_order_relaxed);
-    BUCKWILD_OBS_COUNT("ps.transport.sent", 1);
-    BUCKWILD_OBS_COUNT("ps.transport.sent_bytes", message.wire_bytes());
-    if (faults_.any()) {
-        std::size_t delay_us = 0;
-        bool drop = false;
-        {
-            std::lock_guard<std::mutex> lock(fault_mutex_);
-            if (faults_.drop_prob > 0.0) {
-                const double u =
-                    static_cast<double>(fault_rng_() >> 11) * 0x1.0p-53;
-                drop = u < faults_.drop_prob;
-            }
-            if (!drop && faults_.jitter_us > 0)
-                delay_us = static_cast<std::size_t>(
-                    fault_rng_() % (faults_.jitter_us + 1));
-        }
-        if (drop) {
-            dropped_.fetch_add(1, std::memory_order_relaxed);
-            BUCKWILD_OBS_COUNT("ps.transport.dropped", 1);
-            BUCKWILD_OBS_INSTANT("ps", "transport.drop");
-            return;
-        }
-        if (delay_us > 0)
-            std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-    }
+    if (!injector_.admit(message)) return;
     // Delivery timestamp for hop decomposition and clock-offset echoes.
     // In-proc "delivery" is this push; the socket fabric stamps in its
     // reader loop instead.
@@ -117,7 +138,7 @@ InProcTransport::recv(std::size_t at, Message& out,
 {
     if (at >= mailboxes_.size()) panic("recv at unknown endpoint");
     if (!mailboxes_[at]->pop(out, timeout)) return false;
-    recv_bytes_.fetch_add(out.wire_bytes(), std::memory_order_relaxed);
+    injector_.received(out);
     return true;
 }
 

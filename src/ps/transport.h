@@ -35,6 +35,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -54,6 +55,11 @@ struct FaultModel
     double drop_prob = 0.0;
     /// Max extra delivery latency in microseconds, uniform per message.
     std::size_t jitter_us = 0;
+    /// The largest jitter bound whose arithmetic cannot overflow:
+    /// RpcClient waits up to 256 x 8 x jitter_us per attempt, and that
+    /// wait must fit a nanosecond steady clock.
+    static constexpr std::size_t kMaxJitterUs =
+        std::numeric_limits<std::int64_t>::max() / (256 * 8 * 1000);
     /// Delivery window: a recv may return any of the first `window`
     /// queued messages (1 = strict FIFO).
     std::size_t reorder_window = 1;
@@ -64,6 +70,10 @@ struct FaultModel
         return drop_prob > 0.0 || jitter_us > 0 || reorder_window > 1;
     }
 };
+
+/// Throws std::runtime_error unless drop_prob is in [0, 1) and jitter_us
+/// is at most FaultModel::kMaxJitterUs.
+void validate_faults(const FaultModel& faults);
 
 /// One message between a worker and a shard.
 struct Message
@@ -151,6 +161,50 @@ class Mailbox
 };
 
 /**
+ * The FaultModel's send side and the fabric counters, one copy for both
+ * fabrics: it validates the model once, counts every send, and draws
+ * whether the message is dropped or how long it is held back. Its lock
+ * is taken only when the model injects faults.
+ */
+class FaultInjector
+{
+  public:
+    /// @throws std::runtime_error as validate_faults() does.
+    explicit FaultInjector(const FaultModel& faults);
+
+    const FaultModel& faults() const { return faults_; }
+
+    /// Counts `message` as sent, then applies the model: false when it
+    /// is dropped; otherwise true, after sleeping its jitter.
+    bool admit(const Message& message);
+
+    /// Counts a message the fabric lost after admit() (a dead or
+    /// unreachable connection).
+    void lost() { dropped_.fetch_add(1, std::memory_order_relaxed); }
+
+    void
+    received(const Message& message)
+    {
+        recv_bytes_.fetch_add(message.wire_bytes(),
+                              std::memory_order_relaxed);
+    }
+
+    std::uint64_t sent() const { return sent_.load(); }
+    std::uint64_t dropped() const { return dropped_.load(); }
+    std::uint64_t sent_bytes() const { return sent_bytes_.load(); }
+    std::uint64_t recv_bytes() const { return recv_bytes_.load(); }
+
+  private:
+    const FaultModel faults_;
+    std::mutex mutex_; ///< guards rng_
+    rng::Xorshift128Plus rng_;
+    std::atomic<std::uint64_t> sent_{0};
+    std::atomic<std::uint64_t> dropped_{0};
+    std::atomic<std::uint64_t> sent_bytes_{0};
+    std::atomic<std::uint64_t> recv_bytes_{0};
+};
+
+/**
  * The endpoint-indexed fabric interface: shards at [0, shards), workers
  * and control after them (the ParameterServer defines the layout). The
  * protocol layers (ServerShard, RpcClient, the cluster trainers) are
@@ -162,7 +216,7 @@ class Transport
     virtual ~Transport() = default;
 
     virtual std::size_t endpoints() const = 0;
-    virtual const FaultModel& faults() const = 0;
+    const FaultModel& faults() const { return injector_.faults(); }
 
     /**
      * Delivers `message` to endpoint `to` — unless the fault model (or a
@@ -192,20 +246,26 @@ class Transport
 
     // Fabric counters: messages and idealized wire bytes attempted /
     // lost / delivered (Message::wire_bytes accounting on both fabrics).
-    virtual std::uint64_t sent() const = 0;
-    virtual std::uint64_t dropped() const = 0;
-    virtual std::uint64_t sent_bytes() const = 0;
-    virtual std::uint64_t recv_bytes() const = 0;
+    std::uint64_t sent() const { return injector_.sent(); }
+    std::uint64_t dropped() const { return injector_.dropped(); }
+    std::uint64_t sent_bytes() const { return injector_.sent_bytes(); }
+    std::uint64_t recv_bytes() const { return injector_.recv_bytes(); }
+
+  protected:
+    /// @throws std::runtime_error on an invalid fault model.
+    explicit Transport(const FaultModel& faults) : injector_(faults) {}
+
+    FaultInjector injector_;
 };
 
 /// The seed fabric: every endpoint is a mailbox in this process.
 class InProcTransport final : public Transport
 {
   public:
+    /// @throws std::runtime_error on no endpoints or an invalid `faults`.
     explicit InProcTransport(std::size_t endpoints, FaultModel faults = {});
 
     std::size_t endpoints() const override { return mailboxes_.size(); }
-    const FaultModel& faults() const override { return faults_; }
 
     void send(std::size_t to, Message&& message) override;
     bool recv(std::size_t at, Message& out,
@@ -217,21 +277,9 @@ class InProcTransport final : public Transport
         return closed_.load(std::memory_order_acquire);
     }
 
-    std::uint64_t sent() const override { return sent_.load(); }
-    std::uint64_t dropped() const override { return dropped_.load(); }
-    std::uint64_t sent_bytes() const override { return sent_bytes_.load(); }
-    std::uint64_t recv_bytes() const override { return recv_bytes_.load(); }
-
   private:
-    FaultModel faults_;
     std::vector<std::unique_ptr<Mailbox>> mailboxes_;
-    std::mutex fault_mutex_; ///< guards fault_rng_
-    rng::Xorshift128Plus fault_rng_;
     std::atomic<bool> closed_{false};
-    std::atomic<std::uint64_t> sent_{0};
-    std::atomic<std::uint64_t> dropped_{0};
-    std::atomic<std::uint64_t> sent_bytes_{0};
-    std::atomic<std::uint64_t> recv_bytes_{0};
 };
 
 /**

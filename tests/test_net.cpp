@@ -24,6 +24,7 @@
 #include <cmath>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -884,6 +885,129 @@ TEST(NetGolden, MutationFuzzKeepsDecoderTotal)
     EXPECT_GT(accepted, 1000u);
 }
 
+/// A dense push of `width` coordinates through `codec`.
+Message
+dense_push(std::size_t width, const ps::Codec& codec)
+{
+    std::vector<float> g(width);
+    for (std::size_t k = 0; k < width; ++k)
+        g[k] = static_cast<float>(k % 7) - 3.0f;
+    rng::Xorshift128Plus rng(7);
+    Message m;
+    m.kind = Message::Kind::kPush;
+    m.sender = 2;
+    m.worker = 3;
+    m.token = 0x77;
+    m.clock = 1;
+    m.gradient = ps::encode_gradient(g.data(), width, codec, nullptr, &rng);
+    return m;
+}
+
+TEST(NetShard, SurvivesEveryWellFramedRequest)
+{
+    // Any peer can send a frame that parses but that the shard cannot
+    // serve. Each must be dropped, never thrown out of run(): that would
+    // end a --listen or --spawn shard process and fail every worker.
+    constexpr std::size_t kWidth = 32;
+    constexpr std::size_t kControl = 7;
+    ps::InProcTransport transport(kControl + 1);
+    ps::ShardConfig cfg;
+    cfg.workers = 4;
+    cfg.tau = std::numeric_limits<std::size_t>::max(); // never gate
+    ps::ServerShard shard(0, 0, kWidth, cfg, transport);
+    std::exception_ptr thrown;
+    std::thread serving([&] {
+        try {
+            shard.run();
+        } catch (...) {
+            thrown = std::current_exception();
+        }
+    });
+    const std::uint64_t malformed_before =
+        obs::MetricsRegistry::global().counter("ps.shard.malformed").value();
+
+    // The probes, each built from a valid request.
+    std::vector<Message> probes;
+    Message m = dense_push(kWidth, ps::Codec::from_bits(32));
+    m.worker = 4; // >= workers
+    probes.push_back(m);
+    probes.push_back(dense_push(kWidth - 1, ps::Codec::from_bits(32)));
+    m = dense_push(kWidth, ps::Codec::from_bits(8));
+    m.gradient.bits = 3; // not a Cs8 width
+    probes.push_back(m);
+    m = dense_push(kWidth, ps::Codec::from_bits(32));
+    m.gradient.payload.pop_back(); // payload disagrees with the count
+    probes.push_back(m);
+    m = sample_sparse_push(); // dim 32 = kWidth
+    m.gradient.index_payload.push_back(0xFF); // trailing index bytes
+    probes.push_back(m);
+    m = Message{};
+    m.kind = Message::Kind::kAck; // a reply kind
+    probes.push_back(m);
+    m = dense_push(kWidth, ps::Codec::from_bits(32));
+    m.sender = 1000; // no such reply endpoint
+    probes.push_back(m);
+    m = Message{};
+    m.kind = Message::Kind::kRetire;
+    m.worker = 9; // unknown worker
+    probes.push_back(m);
+    for (const Message& probe : probes) {
+        const std::vector<std::uint8_t> bytes = ps::serialize_message(probe);
+        Message parsed;
+        EXPECT_TRUE(ps::deserialize_message(bytes.data(), bytes.size(), parsed))
+            << "each probe is a well-framed message";
+        transport.send(0, std::move(parsed));
+    }
+
+    // Then every accepted mutant of the push seeds, except a well-formed
+    // kShutdown, which legitimately ends the loop. Each push gets a fresh
+    // clock, so it is decoded rather than acked as a duplicate.
+    Message traced = golden_qsgd_push();
+    traced.trace.ctx = obs::make_root_context();
+    traced.trace.send_ts_ns = 42;
+    Message traced_sparse = sample_sparse_push();
+    traced_sparse.trace = traced.trace;
+    std::vector<testutil::FuzzSeed> seeds;
+    for (const Message& seed :
+         {golden_qsgd_push(), sample_sparse_push(), traced, traced_sparse,
+          dense_push(kWidth, ps::Codec::from_bits(8)),
+          dense_push(kWidth, ps::Codec::qsgd(4))})
+        seeds.push_back(ps_fuzz_seed(seed));
+    std::uint64_t clock = 1000;
+    const std::size_t sent = testutil::fuzz_decoder(
+        seeds, 2000, 0x5A4D, [&](const std::vector<std::uint8_t>& bytes) {
+            Message mutant;
+            if (!ps::deserialize_message(bytes.data(), bytes.size(),
+                                         mutant) ||
+                mutant.kind == Message::Kind::kShutdown)
+                return false;
+            mutant.clock = ++clock;
+            transport.send(0, std::move(mutant));
+            return true;
+        });
+    EXPECT_GT(sent, 1000u);
+
+    // The shard still answers a pull.
+    ps::RpcClient rpc(transport, kControl);
+    Message pull;
+    pull.kind = Message::Kind::kPull;
+    std::size_t pulled = 0;
+    EXPECT_NO_THROW(pulled = rpc.call(0, std::move(pull)).weights.size());
+    EXPECT_EQ(pulled, kWidth);
+    transport.close();
+    serving.join();
+    EXPECT_EQ(thrown, nullptr);
+#if BUCKWILD_OBS_ENABLED
+    EXPECT_GE(obs::MetricsRegistry::global()
+                      .counter("ps.shard.malformed")
+                      .value() -
+                  malformed_before,
+              probes.size());
+#else
+    (void)malformed_before;
+#endif
+}
+
 /// A frame payload as the socket fabric sends it: destination endpoint,
 /// then the serialized message.
 std::vector<std::uint8_t>
@@ -1118,6 +1242,33 @@ dial_raw(const TransportPair& pair)
                                   std::chrono::milliseconds(2000), &error);
     EXPECT_TRUE(fd.valid()) << error;
     return fd;
+}
+
+TEST(NetTransport, BothFabricsRejectAJitterBoundThatOverflows)
+{
+    // At SIZE_MAX the jitter draw's jitter_us + 1 wraps to a modulo by
+    // zero, and RpcClient's 8 x jitter_us timeout wraps far below it.
+    ps::FaultModel faults;
+    faults.jitter_us = std::numeric_limits<std::size_t>::max();
+    EXPECT_THROW(ps::InProcTransport(2, faults), std::runtime_error);
+    ps::SocketTransportConfig config;
+    config.endpoints = 2;
+    config.faults = faults;
+    EXPECT_THROW(ps::SocketTransport{config}, std::runtime_error);
+    ps::PsConfig ps_config;
+    ps_config.faults = faults;
+    EXPECT_THROW(ps::validate_ps_config(4, ps_config), std::runtime_error)
+        << "a --spawn cluster must reject it before forking";
+
+    // The largest bound whose arithmetic fits is taken; one more is not.
+    faults.jitter_us = ps::FaultModel::kMaxJitterUs;
+    EXPECT_NO_THROW(ps::InProcTransport(2, faults));
+    faults.jitter_us += 1;
+    EXPECT_THROW(ps::InProcTransport(2, faults), std::runtime_error);
+    faults.jitter_us = 0;
+    faults.drop_prob = std::nan("");
+    config.faults = faults;
+    EXPECT_THROW(ps::SocketTransport{config}, std::runtime_error);
 }
 
 TEST(NetTransport, DeliversAndRepliesOverLoopback)

@@ -51,10 +51,9 @@
  * Run with --help for the full flag list.
  */
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <optional>
-#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -71,90 +70,6 @@ namespace {
 
 using namespace buckwild;
 
-void
-usage()
-{
-    std::printf(
-        "buckwild_cluster — sharded parameter-server training\n"
-        "\n"
-        "problem:\n"
-        "  --dense DIM EXAMPLES   synthetic dense logistic problem\n"
-        "                         (default 256 4096)\n"
-        "  --sparse               synthetic RCV1-style sparse logistic\n"
-        "                         problem instead (libsvm-shaped rows at\n"
-        "                         --density over the --dense geometry);\n"
-        "                         pushes become quantized sparse gradients\n"
-        "  --density D            sparse nonzero fraction per row\n"
-        "                         (default 0.05; implies --sparse)\n"
-        "  --libsvm PATH          train on a libsvm file (implies --sparse;\n"
-        "                         dim inferred from the data)\n"
-        "  --loss L               logistic | squared | hinge\n"
-        "  --seed X               problem RNG seed (default 0x5EED)\n"
-        "\n"
-        "cluster:\n"
-        "  --workers W            workers (default 4)\n"
-        "  --shards S             model shards (default 2)\n"
-        "  --bits B[,B,...]       comm codec sweep: 32 | 8 | 1 | Q2..Q8\n"
-        "                         (\"Cs\" prefix optional; default 32,8,1)\n"
-        "  --tau T                staleness bound in rounds (default 8)\n"
-        "  --rounds N             rounds per worker (default 400)\n"
-        "  --batch B              examples per worker round (default 16)\n"
-        "  --step S               step size (default 0.25)\n"
-        "  --no-feedback          disable error feedback (shows why Cs1\n"
-        "                         needs it)\n"
-        "  --impl I               reference | naive | avx2 | fma | avx512\n"
-        "                         (default: fastest supported; the\n"
-        "                         BUCKWILD_KERNEL_IMPL env var overrides)\n"
-        "\n"
-        "multi-process (loopback or real network; first --bits tier):\n"
-        "  --spawn                fork S shard + W worker processes over\n"
-        "                         loopback TCP instead of threads\n"
-        "  --listen HOST:PORT     run ONE shard process (port 0 = pick a\n"
-        "                         free port, printed at startup)\n"
-        "  --shard-index S        which shard --listen serves (default 0)\n"
-        "  --connect A1,A2,...    run ONE worker process against the\n"
-        "                         listed shard addresses (in shard order)\n"
-        "  --worker-index W       which worker --connect runs (default 0)\n"
-        "  --control A1,A2,...    snapshot + evaluate + stats, then shut\n"
-        "                         the listed shards down\n"
-        "  --trace-dir DIR        (--spawn) distributed tracing: every\n"
-        "                         process writes DIR/<role>.trace.json\n"
-        "                         (control, shardN, workerN); stitch them\n"
-        "                         with buckwild_tracemerge --dir DIR\n"
-        "                         (a multi-tier sweep overwrites per tier)\n"
-        "  --fleet-port N         (--spawn) control node scrapes every\n"
-        "                         child and serves ONE merged,\n"
-        "                         node-labeled /metrics on port N (0 =\n"
-        "                         any free port); the final snapshot is\n"
-        "                         kept as DIR/fleet.prom under --trace-dir\n"
-        "\n"
-        "fault injection (the transport's FaultModel; multi-process modes\n"
-        "apply it sender-side at workers and control):\n"
-        "  --drop P               message drop probability (default 0)\n"
-        "  --jitter-us N          max delivery jitter in us (default 0)\n"
-        "  --reorder W            delivery reorder window (default 1 = FIFO)\n"
-        "\n"
-        "publish / save:\n"
-        "  --publish-every N      registry checkpoint every N applied\n"
-        "                         worker rounds (0 = final only; in-process\n"
-        "                         sweep only)\n"
-        "  --precision P          registry precision Ms8 | Ms16 | Ms32f\n"
-        "                         (default Ms32f)\n"
-        "  --save PATH            write the last run's final model\n"
-        "  --csv                  also print the table as CSV\n"
-        "\n"
-        "observability:\n"
-        "%s",
-        tools::obs_cli_usage());
-}
-
-[[noreturn]] void
-die(const std::string& message)
-{
-    std::fprintf(stderr, "error: %s (try --help)\n", message.c_str());
-    std::exit(1);
-}
-
 enum class Mode { kSweep, kSpawn, kShard, kWorker, kControl };
 
 struct Options
@@ -165,12 +80,17 @@ struct Options
     bool sparse = false;
     double density = 0.05;
     std::string libsvm_path;
-    core::Loss loss = core::Loss::kLogistic;
     std::uint64_t seed = 0x5EED;
-    ps::ClusterConfig cluster;
-    std::vector<ps::Codec> codecs;
-    std::size_t publish_every = 0;
-    std::string precision = "Ms32f";
+    /// Shards, tau, batch and step keep ClusterConfig's defaults.
+    ps::ClusterConfig cluster = [] {
+        ps::ClusterConfig cluster;
+        cluster.workers = 4;
+        cluster.rounds = 400;
+        return cluster;
+    }();
+    std::vector<ps::Codec> codecs = {ps::Codec::from_bits(32),
+                                     ps::Codec::from_bits(8),
+                                     ps::Codec::from_bits(1)};
     std::string save_path;
     // Multi-process role parameters.
     net::Address listen;
@@ -181,157 +101,121 @@ struct Options
     bool csv = false;
 };
 
-std::vector<ps::Codec>
-parse_codec_list(const std::string& text)
+tools::flags::Table
+cli(Options& opt)
 {
-    std::vector<ps::Codec> out;
-    std::istringstream in(text);
-    std::string tok;
-    while (std::getline(in, tok, ',')) out.push_back(ps::Codec::parse(tok));
-    if (out.empty()) die("empty --bits list");
-    return out;
+    namespace flags = tools::flags;
+    flags::Table t("buckwild_cluster — sharded parameter-server training");
+    ps::ClusterConfig& c = opt.cluster;
+    const flags::Action sparse = flags::set(opt.sparse, true);
+
+    t.section("problem:");
+    t.flag({"--dense"}, "DIM EXAMPLES",
+           "synthetic dense logistic problem (default 256 4096)",
+           flags::count(opt.dim, 1))
+        .value(flags::count(opt.examples, 1));
+    t.flag({"--sparse"}, "synthetic RCV1-style sparse logistic problem "
+           "instead (libsvm-shaped rows at --density over the --dense "
+           "geometry); pushes become quantized sparse gradients", sparse);
+    t.flag({"--density"}, "D", "sparse nonzero fraction per row (default "
+           "0.05; implies --sparse)", flags::real(opt.density), sparse);
+    t.flag({"--libsvm"}, "PATH", "train on a libsvm file (implies --sparse; "
+           "dim inferred from the data)", flags::text(opt.libsvm_path), sparse);
+    t.flag({"--loss"}, "L", "logistic | squared | hinge (default logistic)",
+           flags::choice(c.loss, {{"logistic", core::Loss::kLogistic},
+                                  {"squared", core::Loss::kSquared},
+                                  {"hinge", core::Loss::kHinge}}));
+    t.flag({"--seed"}, "X", "problem RNG seed, decimal (default 24301 = "
+           "0x5EED)", flags::count(opt.seed));
+
+    t.section("cluster:");
+    t.flag({"--workers"}, "W", "workers (default 4)", flags::count(c.workers));
+    t.flag({"--shards"}, "S", "model shards (default 2)",
+           flags::count(c.shards));
+    t.flag({"--bits"}, "B[,B,...]", "comm codec sweep: 32 | 8 | 1 | Q2..Q8 "
+           "(\"Cs\" prefix optional; default 32,8,1)",
+           flags::list(opt.codecs, &ps::Codec::parse));
+    t.flag({"--tau"}, "T", "staleness bound in rounds (default 8)",
+           flags::count(c.tau));
+    t.flag({"--rounds"}, "N", "rounds per worker (default 400)",
+           flags::count(c.rounds));
+    t.flag({"--batch"}, "B", "examples per worker round (default 16)",
+           flags::count(c.batch));
+    t.flag({"--step"}, "S", "step size (default 0.25)",
+           flags::real(c.step_size));
+    t.flag({"--no-feedback"}, "disable error feedback (shows why Cs1 needs "
+           "it)", flags::set(c.error_feedback, false));
+    t.flag({"--impl"}, "I", "reference | naive | avx2 | fma | avx512 "
+           "(default: fastest supported; the BUCKWILD_KERNEL_IMPL env var "
+           "overrides)", flags::parsed(c.impl, simd::parse_impl));
+
+    t.section("multi-process (loopback or real network; first --bits tier):");
+    t.flag({"--spawn"}, "fork S shard + W worker processes over loopback "
+           "TCP instead of threads", flags::set(opt.mode, Mode::kSpawn));
+    t.flag({"--listen"}, "HOST:PORT", "run ONE shard process (port 0 = pick "
+           "a free port, printed at startup)",
+           flags::parsed(opt.listen, net::parse_address),
+           flags::set(opt.mode, Mode::kShard));
+    t.flag({"--shard-index"}, "S", "which shard --listen serves (default 0)",
+           flags::count(opt.shard_index));
+    t.flag({"--connect"}, "A1,A2,...", "run ONE worker process against the "
+           "listed shard addresses (in shard order)",
+           flags::list(opt.shard_addresses, net::parse_address),
+           flags::set(opt.mode, Mode::kWorker));
+    t.flag({"--worker-index"}, "W", "which worker --connect runs (default 0)",
+           flags::count(opt.worker_index));
+    t.flag({"--control"}, "A1,A2,...",
+           "snapshot + evaluate + stats, then shut the listed shards down",
+           flags::list(opt.shard_addresses, net::parse_address),
+           flags::set(opt.mode, Mode::kControl));
+    t.flag({"--trace-dir"}, "DIR", "(--spawn) distributed tracing: every "
+           "process writes DIR/<role>.trace.json (control, shardN, workerN); "
+           "stitch them with buckwild_tracemerge --dir DIR (a multi-tier "
+           "sweep overwrites per tier)", flags::text(c.trace_dir));
+    t.flag({"--fleet-port"}, "N", "(--spawn) control node scrapes every "
+           "child and serves ONE merged, node-labeled /metrics on port N (0 "
+           "= any free port); the final snapshot is kept as DIR/fleet.prom "
+           "under --trace-dir", flags::port(c.fleet_port));
+
+    t.section("fault injection (the transport's FaultModel; multi-process "
+              "modes\napply it sender-side at workers and control):");
+    t.flag({"--drop"}, "P", "message drop probability (default 0)",
+           flags::real(c.faults.drop_prob));
+    t.flag({"--jitter-us"}, "N", "max delivery jitter in us (default 0)",
+           flags::count(c.faults.jitter_us));
+    t.flag({"--reorder"}, "W", "delivery reorder window (default 1 = FIFO)",
+           flags::count(c.faults.reorder_window));
+
+    t.section("publish / save:");
+    t.flag({"--publish-every"}, "N", "registry checkpoint every N applied "
+           "worker rounds (0 = final only; in-process sweep only)",
+           flags::count(c.publish_every));
+    t.flag({"--precision"}, "P",
+           "registry precision Ms8 | Ms16 | Ms32f (default Ms32f)",
+           flags::parsed(c.publish_precision, serve::parse_precision));
+    t.flag({"--save"}, "PATH", "write the last run's final model",
+           flags::text(opt.save_path));
+    t.flag({"--csv"}, "also print the table as CSV", flags::set(opt.csv, true));
+
+    t.section("observability:");
+    tools::add_obs_flags(t, opt.obs);
+    return t;
 }
 
-std::vector<net::Address>
-parse_address_list(const std::string& text)
+/// The cross-flag checks the table cannot make flag by flag.
+void
+check(const Options& opt)
 {
-    std::vector<net::Address> out;
-    std::istringstream in(text);
-    std::string tok;
-    while (std::getline(in, tok, ','))
-        out.push_back(net::parse_address(tok));
-    if (out.empty()) die("empty address list");
-    return out;
-}
-
-Options
-parse_args(int argc, char** argv)
-{
-    Options opt;
-    opt.cluster.workers = 4;
-    opt.cluster.shards = 2;
-    opt.cluster.tau = 8;
-    opt.cluster.rounds = 400;
-    opt.cluster.batch = 16;
-    opt.cluster.step_size = 0.25f;
-    opt.codecs = {ps::Codec::from_bits(32), ps::Codec::from_bits(8),
-                  ps::Codec::from_bits(1)};
-    auto need = [&](int& i, const char* flag) -> const char* {
-        if (i + 1 >= argc) die(std::string("missing value for ") + flag);
-        return argv[++i];
-    };
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == "--help" || a == "-h") {
-            usage();
-            std::exit(0);
-        } else if (a == "--dense") {
-            opt.dim = std::strtoull(need(i, "--dense"), nullptr, 10);
-            opt.examples = std::strtoull(need(i, "--dense"), nullptr, 10);
-        } else if (a == "--sparse") {
-            opt.sparse = true;
-        } else if (a == "--density") {
-            opt.sparse = true;
-            opt.density = std::strtod(need(i, "--density"), nullptr);
-        } else if (a == "--libsvm") {
-            opt.sparse = true;
-            opt.libsvm_path = need(i, "--libsvm");
-        } else if (a == "--loss") {
-            const std::string l = need(i, "--loss");
-            if (l == "logistic") opt.loss = core::Loss::kLogistic;
-            else if (l == "squared") opt.loss = core::Loss::kSquared;
-            else if (l == "hinge") opt.loss = core::Loss::kHinge;
-            else die("unknown loss: " + l);
-        } else if (a == "--seed") {
-            opt.seed = std::strtoull(need(i, "--seed"), nullptr, 10);
-        } else if (a == "--workers") {
-            opt.cluster.workers =
-                std::strtoull(need(i, "--workers"), nullptr, 10);
-        } else if (a == "--shards") {
-            opt.cluster.shards =
-                std::strtoull(need(i, "--shards"), nullptr, 10);
-        } else if (a == "--bits") {
-            opt.codecs = parse_codec_list(need(i, "--bits"));
-        } else if (a == "--tau") {
-            opt.cluster.tau = std::strtoull(need(i, "--tau"), nullptr, 10);
-        } else if (a == "--rounds") {
-            opt.cluster.rounds =
-                std::strtoull(need(i, "--rounds"), nullptr, 10);
-        } else if (a == "--batch") {
-            opt.cluster.batch =
-                std::strtoull(need(i, "--batch"), nullptr, 10);
-        } else if (a == "--step") {
-            opt.cluster.step_size =
-                std::strtof(need(i, "--step"), nullptr);
-        } else if (a == "--no-feedback") {
-            opt.cluster.error_feedback = false;
-        } else if (a == "--impl") {
-            const std::string m = need(i, "--impl");
-            if (const auto impl = simd::parse_impl(m))
-                opt.cluster.impl = *impl;
-            else die("unknown impl: " + m);
-        } else if (a == "--spawn") {
-            opt.mode = Mode::kSpawn;
-        } else if (a == "--listen") {
-            opt.mode = Mode::kShard;
-            opt.listen = net::parse_address(need(i, "--listen"));
-        } else if (a == "--shard-index") {
-            opt.shard_index =
-                std::strtoull(need(i, "--shard-index"), nullptr, 10);
-        } else if (a == "--connect") {
-            opt.mode = Mode::kWorker;
-            opt.shard_addresses = parse_address_list(need(i, "--connect"));
-        } else if (a == "--worker-index") {
-            opt.worker_index =
-                std::strtoull(need(i, "--worker-index"), nullptr, 10);
-        } else if (a == "--control") {
-            opt.mode = Mode::kControl;
-            opt.shard_addresses = parse_address_list(need(i, "--control"));
-        } else if (a == "--trace-dir") {
-            opt.cluster.trace_dir = need(i, "--trace-dir");
-        } else if (a == "--fleet-port") {
-            const char* v = need(i, "--fleet-port");
-            char* rest = nullptr;
-            const long port = std::strtol(v, &rest, 10);
-            if (rest == v || *rest != '\0' || port < 0 || port > 65535)
-                die("bad --fleet-port (want 0..65535): " + std::string(v));
-            opt.cluster.fleet_port = static_cast<int>(port);
-        } else if (a == "--drop") {
-            opt.cluster.faults.drop_prob =
-                std::strtod(need(i, "--drop"), nullptr);
-        } else if (a == "--jitter-us") {
-            opt.cluster.faults.jitter_us =
-                std::strtoull(need(i, "--jitter-us"), nullptr, 10);
-        } else if (a == "--reorder") {
-            opt.cluster.faults.reorder_window =
-                std::strtoull(need(i, "--reorder"), nullptr, 10);
-        } else if (a == "--publish-every") {
-            opt.publish_every =
-                std::strtoull(need(i, "--publish-every"), nullptr, 10);
-        } else if (a == "--precision") {
-            opt.precision = need(i, "--precision");
-        } else if (a == "--save") {
-            opt.save_path = need(i, "--save");
-        } else if (tools::parse_obs_flag(opt.obs, argc, argv, i)) {
-            // shared observability flag, consumed
-        } else if (a == "--csv") {
-            opt.csv = true;
-        } else {
-            die("unknown flag: " + a);
-        }
-    }
-    if (opt.dim == 0 || opt.examples == 0) die("need --dense DIM EXAMPLES >= 1");
+    using tools::flags::usage_error;
     if (opt.sparse && (opt.density <= 0.0 || opt.density > 1.0))
-        die("need --density in (0, 1]");
-    opt.cluster.codec = opt.codecs.front();
+        usage_error("need --density in (0, 1]");
     if (opt.mode == Mode::kShard && opt.shard_index >= opt.cluster.shards)
-        die("--shard-index out of range");
+        usage_error("--shard-index out of range");
     if (opt.mode == Mode::kWorker && opt.worker_index >= opt.cluster.workers)
-        die("--worker-index out of range");
+        usage_error("--worker-index out of range");
     if ((opt.mode == Mode::kWorker || opt.mode == Mode::kControl) &&
         opt.shard_addresses.size() != opt.cluster.shards)
-        die("address list must name every shard (--shards of them)");
-    return opt;
+        usage_error("address list must name every shard (--shards of them)");
 }
 
 /// The provenance row the obs roofline is matched against: dense worker
@@ -410,7 +294,6 @@ template <typename Problem>
 int
 run_sweep(const Options& opt, const Problem& problem)
 {
-    const serve::Precision precision = serve::parse_precision(opt.precision);
     const bool spawn = opt.mode == Mode::kSpawn;
     print_cluster_banner(opt, problem,
                          spawn ? "loopback TCP (forked processes)"
@@ -419,7 +302,7 @@ run_sweep(const Options& opt, const Problem& problem)
     TablePrinter table(
         spawn ? std::string("parameter-server training (multi-process)")
               : "parameter-server training (publishes " +
-                    to_string(precision) + ")",
+                    to_string(opt.cluster.publish_precision) + ")",
         {"comm", "loss", "acc", "B/round", "pushes", "gated", "dup",
          "stale", "retry", "drops", "wall s", "GNPS", "registry v"});
 
@@ -458,8 +341,6 @@ run_sweep(const Options& opt, const Problem& problem)
     for (const ps::Codec& codec : opt.codecs) {
         ps::ClusterConfig cfg = opt.cluster;
         cfg.codec = codec;
-        cfg.publish_every = opt.publish_every;
-        cfg.publish_precision = precision;
         ps::ClusterResult r =
             spawn ? ps::train_cluster_multiprocess(problem, cfg)
                   : ps::train_cluster(problem, cfg, &registry);
@@ -518,7 +399,9 @@ run_shard(const Options& opt, const Problem& problem)
     std::uint16_t port = opt.listen.port;
     net::Fd listener =
         net::listen_tcp(opt.listen.host, port, 64, &port, &error);
-    if (!listener.valid()) die("bind " + opt.listen.to_string() + ": " + error);
+    if (!listener.valid())
+        throw std::runtime_error("bind " + opt.listen.to_string() + ": " +
+                                 error);
     std::printf("shard %zu listening on %s:%u (%s)\n", opt.shard_index,
                 opt.listen.host.c_str(), port,
                 opt.cluster.codec.name().c_str());
@@ -597,7 +480,7 @@ run_control(const Options& opt, const Problem& problem)
     ps::ControlClient control(opt.cluster, opt.shard_addresses);
     const std::vector<float> model = control.snapshot(problem.dim);
     double loss = 0.0, accuracy = 0.0;
-    ps::evaluate_model(problem, opt.loss, model, &loss, &accuracy);
+    ps::evaluate_model(problem, opt.cluster.loss, model, &loss, &accuracy);
     std::printf("control: final_loss %.6f accuracy %.6f\n", loss, accuracy);
 
     const std::vector<ps::ShardMetrics> shards = control.stats();
@@ -663,7 +546,10 @@ int
 main(int argc, char** argv)
 {
     try {
-        Options opt = parse_args(argc, argv);
+        Options opt;
+        cli(opt).parse_or_exit(argc, argv);
+        check(opt);
+        opt.cluster.codec = opt.codecs.front();
         if (opt.sparse) {
             const auto problem =
                 opt.libsvm_path.empty()

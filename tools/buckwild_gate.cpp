@@ -28,13 +28,13 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <mutex>
+#include <optional>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -51,49 +51,9 @@ namespace {
 
 using namespace buckwild;
 
-void
-usage()
-{
-    std::printf(
-        "buckwild_gate — open-loop Poisson load driver for the gate\n"
-        "\n"
-        "  --connect HOST:PORT    gate address (required)\n"
-        "  --model NAME           model name to request (default: default)\n"
-        "  --dim N                feature dimension (required; must match\n"
-        "                         the served model)\n"
-        "  --qps Q[,Q,...]        offered-load sweep, requests/s per step\n"
-        "                         (default 1000)\n"
-        "  --duration S           seconds per step (default 3)\n"
-        "  --connections C        client connections / sender threads\n"
-        "                         (default 4)\n"
-        "  --tenants T            rotate requests over T tenant ids\n"
-        "                         (t0..t{T-1}; default 1)\n"
-        "  --batch-frac F         fraction of requests on the batch lane\n"
-        "                         (default 0.5)\n"
-        "  --deadline-us D        deadline on interactive requests\n"
-        "                         (default 0 = none)\n"
-        "  --encoding E           f32 | q8 feature payload (default f32)\n"
-        "  --seed X               RNG seed (default 1)\n"
-        "  --json PATH            write the sweep as JSON ('-' = stdout)\n"
-        "\n"
-        "observability (client-side per-lane latency percentiles and\n"
-        "shed counters land in the registry as gate.client.* series;\n"
-        "with --trace-out the driver also stamps a trace context onto\n"
-        "every request, which the gate echoes for clock correlation):\n"
-        "%s",
-        tools::obs_cli_usage());
-}
-
-[[noreturn]] void
-die(const std::string& message)
-{
-    std::fprintf(stderr, "error: %s (try --help)\n", message.c_str());
-    std::exit(1);
-}
-
 struct Options
 {
-    std::string connect;
+    std::optional<net::Address> connect;
     std::string model = "default";
     std::size_t dim = 0;
     std::vector<double> qps = {1000.0};
@@ -108,78 +68,45 @@ struct Options
     tools::ObsCliOptions obs;
 };
 
-std::vector<double>
-parse_qps_list(const std::string& text)
+tools::flags::Table
+cli(Options& opt)
 {
-    std::vector<double> out;
-    std::istringstream in(text);
-    std::string tok;
-    while (std::getline(in, tok, ',')) {
-        const double q = std::strtod(tok.c_str(), nullptr);
-        if (q <= 0.0) die("qps values must be > 0: " + text);
-        out.push_back(q);
-    }
-    if (out.empty()) die("empty --qps list");
-    return out;
-}
+    namespace flags = tools::flags;
+    flags::Table t("buckwild_gate — open-loop Poisson load driver for the "
+                   "gate");
 
-Options
-parse_args(int argc, char** argv)
-{
-    Options opt;
-    auto need = [&](int& i, const char* flag) -> const char* {
-        if (i + 1 >= argc) die(std::string("missing value for ") + flag);
-        return argv[++i];
-    };
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == "--help" || a == "-h") {
-            usage();
-            std::exit(0);
-        } else if (a == "--connect") {
-            opt.connect = need(i, "--connect");
-        } else if (a == "--model") {
-            opt.model = need(i, "--model");
-        } else if (a == "--dim") {
-            opt.dim = std::strtoull(need(i, "--dim"), nullptr, 10);
-        } else if (a == "--qps") {
-            opt.qps = parse_qps_list(need(i, "--qps"));
-        } else if (a == "--duration") {
-            opt.duration_s = std::strtod(need(i, "--duration"), nullptr);
-        } else if (a == "--connections") {
-            opt.connections =
-                std::strtoull(need(i, "--connections"), nullptr, 10);
-        } else if (a == "--tenants") {
-            opt.tenants =
-                std::strtoull(need(i, "--tenants"), nullptr, 10);
-        } else if (a == "--batch-frac") {
-            opt.batch_frac =
-                std::strtod(need(i, "--batch-frac"), nullptr);
-        } else if (a == "--deadline-us") {
-            opt.deadline_us = static_cast<std::uint32_t>(
-                std::strtoul(need(i, "--deadline-us"), nullptr, 10));
-        } else if (a == "--encoding") {
-            const std::string e = need(i, "--encoding");
-            if (e == "f32") opt.q8 = false;
-            else if (e == "q8") opt.q8 = true;
-            else die("unknown encoding (want f32|q8): " + e);
-        } else if (a == "--seed") {
-            opt.seed = std::strtoull(need(i, "--seed"), nullptr, 10);
-        } else if (a == "--json") {
-            opt.json_path = need(i, "--json");
-        } else if (tools::parse_obs_flag(opt.obs, argc, argv, i)) {
-            // shared observability flag, consumed
-        } else {
-            die("unknown flag: " + a);
-        }
-    }
-    if (opt.connect.empty()) die("no --connect given");
-    if (opt.dim == 0) die("no --dim given");
-    if (opt.connections == 0 || opt.tenants == 0)
-        die("need connections/tenants >= 1");
-    if (opt.batch_frac < 0.0 || opt.batch_frac > 1.0)
-        die("--batch-frac must be in [0, 1]");
-    return opt;
+    t.flag({"--connect"}, "HOST:PORT", "gate address (required)",
+           flags::parsed(opt.connect, net::parse_address));
+    t.flag({"--model"}, "NAME", "model name to request (default: default)",
+           flags::text(opt.model));
+    t.flag({"--dim"}, "N", "feature dimension (required; must match the "
+           "served model)", flags::count(opt.dim, 1));
+    t.flag({"--qps"}, "Q[,Q,...]", "offered-load sweep, requests/s per step "
+           "(default 1000)", flags::list(opt.qps, flags::parse_real));
+    t.flag({"--duration"}, "S", "seconds per step (default 3)",
+           flags::real(opt.duration_s));
+    t.flag({"--connections"}, "C", "client connections / sender threads "
+           "(default 4)", flags::count(opt.connections, 1));
+    t.flag({"--tenants"}, "T", "rotate requests over T tenant ids "
+           "(t0..t{T-1}; default 1)", flags::count(opt.tenants, 1));
+    t.flag({"--batch-frac"}, "F", "fraction of requests on the batch lane "
+           "(default 0.5)", flags::real(opt.batch_frac));
+    t.flag({"--deadline-us"}, "D", "deadline on interactive requests "
+           "(default 0 = none)", flags::count(opt.deadline_us));
+    t.flag({"--encoding"}, "E", "f32 | q8 feature payload (default f32)",
+           flags::choice(opt.q8, {{"f32", false}, {"q8", true}}));
+    t.flag({"--seed"}, "X", "RNG seed, decimal (default 1)",
+           flags::count(opt.seed));
+    t.flag({"--json"}, "PATH", "write the sweep as JSON ('-' = stdout)",
+           flags::text(opt.json_path));
+
+    t.section("observability (client-side per-lane latency percentiles "
+              "and\nshed counters land in the registry as gate.client.* "
+              "series;\nwith --trace-out the driver also stamps a trace "
+              "context onto\nevery request, which the gate echoes for "
+              "clock correlation):");
+    tools::add_obs_flags(t, opt.obs);
+    return t;
 }
 
 std::uint64_t
@@ -296,14 +223,15 @@ publish_step_metrics(const Tally& tally, double offered_qps,
 Tally
 run_step(const Options& opt, double offered_qps)
 {
-    const net::Address address = net::parse_address(opt.connect);
+    const net::Address& address = *opt.connect;
     std::vector<std::unique_ptr<gate::GateClient>> clients;
     std::vector<Tally> tallies(opt.connections);
     std::vector<std::mutex> tally_mutexes(opt.connections);
     for (std::size_t c = 0; c < opt.connections; ++c) {
         auto client = std::make_unique<gate::GateClient>(address);
         if (!client->connected())
-            die("cannot connect to " + opt.connect);
+            throw std::runtime_error("cannot connect to " +
+                                     address.to_string());
         Tally* tally = &tallies[c];
         std::mutex* mutex = &tally_mutexes[c];
         client->set_handler([tally, mutex](
@@ -418,8 +346,15 @@ run_step(const Options& opt, double offered_qps)
 
 int
 main(int argc, char** argv)
-{
-    const Options opt = parse_args(argc, argv);
+try {
+    Options opt;
+    cli(opt).parse_or_exit(argc, argv);
+    if (!opt.connect) tools::flags::usage_error("no --connect given");
+    if (opt.dim == 0) tools::flags::usage_error("no --dim given");
+    if (opt.batch_frac < 0.0 || opt.batch_frac > 1.0)
+        tools::flags::usage_error("--batch-frac must be in [0, 1]");
+    for (const double qps : opt.qps)
+        if (!(qps > 0.0)) tools::flags::usage_error("--qps values must be > 0");
 
     std::printf("kernels: %s (per-host self-selection; "
                 "BUCKWILD_KERNEL_IMPL overrides)\n",
@@ -494,4 +429,7 @@ main(int argc, char** argv)
     }
     session.finish();
     return 0;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
 }

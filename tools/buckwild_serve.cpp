@@ -23,11 +23,9 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <optional>
-#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,67 +45,10 @@ namespace {
 
 using namespace buckwild;
 
-void
-usage()
-{
-    std::printf(
-        "buckwild_serve — micro-batched low-precision inference serving\n"
-        "\n"
-        "model:\n"
-        "  --model PATH           BUCKWILD-MODEL file (required)\n"
-        "  --precision P          serving precision Ms8 | Ms16 | Ms32f\n"
-        "                         (default: the precision the model was\n"
-        "                         trained at)\n"
-        "\n"
-        "load (default: synthetic dense requests at the model dimension):\n"
-        "  --libsvm PATH          sparse requests from a LIBSVM file\n"
-        "  --digits N             N synthetic digit images (dim must be %zu)\n"
-        "  --requests N           total requests to serve (default 20000)\n"
-        "  --clients C            closed-loop client threads (default 1)\n"
-        "  --window W             in-flight requests per client (default 64;\n"
-        "                         1 = strict request-response)\n"
-        "\n"
-        "network serving (the front door; see tools/buckwild_gate):\n"
-        "  --listen HOST:PORT     serve the gate wire protocol instead of\n"
-        "                         the closed-loop bench (port 0 = any free\n"
-        "                         port, printed at startup)\n"
-        "  --name NAME            model name to publish (default: default)\n"
-        "  --duration S           exit after S seconds (default: run until\n"
-        "                         SIGINT/SIGTERM)\n"
-        "  --tenant-rate R        per-tenant admission rate, requests/s\n"
-        "                         (default: unlimited)\n"
-        "  --tenant-burst B       per-tenant token-bucket burst (default 32)\n"
-        "  --interactive-cap N    interactive lane capacity (default 256)\n"
-        "  --batch-cap N          batch lane capacity (default 1024)\n"
-        "\n"
-        "serving:\n"
-        "  --workers W            scoring worker threads (default 1)\n"
-        "  --batch B[,B,...]      micro-batch bound sweep (default 1,16)\n"
-        "  --queue N              queue capacity (default 1024)\n"
-        "  --linger US            batch-fill linger in microseconds\n"
-        "                         (default 200; 0 = no linger)\n"
-        "  --impl I               reference | naive | avx2 | fma | avx512\n"
-        "                         (default: fastest supported; the\n"
-        "                         BUCKWILD_KERNEL_IMPL env var overrides)\n"
-        "  --seed X               load-generator RNG seed\n"
-        "  --csv                  also print the table as CSV\n"
-        "\n"
-        "observability:\n"
-        "%s",
-        dataset::kDigitPixels, tools::obs_cli_usage());
-}
-
-[[noreturn]] void
-die(const std::string& message)
-{
-    std::fprintf(stderr, "error: %s (try --help)\n", message.c_str());
-    std::exit(1);
-}
-
 struct Options
 {
     std::string model_path;
-    std::optional<std::string> precision;
+    std::optional<serve::Precision> precision;
     std::string libsvm_path;
     std::size_t digit_count = 0;
     std::size_t requests = 20000;
@@ -124,7 +65,7 @@ struct Options
     tools::ObsCliOptions obs;
     bool csv = false;
     // Network front-door mode.
-    std::string listen;
+    std::optional<net::Address> listen;
     std::string gate_name = "default";
     double duration_s = 0.0;
     double tenant_rate = 0.0; // <= 0 = unlimited
@@ -133,98 +74,76 @@ struct Options
     std::size_t batch_cap = 1024;
 };
 
-std::vector<std::size_t>
-parse_batch_list(const std::string& text)
+tools::flags::Table
+cli(Options& opt)
 {
-    std::vector<std::size_t> out;
-    std::istringstream in(text);
-    std::string tok;
-    while (std::getline(in, tok, ',')) {
-        const std::size_t b = std::strtoull(tok.c_str(), nullptr, 10);
-        if (b == 0) die("batch sizes must be >= 1: " + text);
-        out.push_back(b);
-    }
-    if (out.empty()) die("empty --batch list");
-    return out;
-}
+    namespace flags = tools::flags;
+    flags::Table t(
+        "buckwild_serve — micro-batched low-precision inference serving");
 
-Options
-parse_args(int argc, char** argv)
-{
-    Options opt;
-    auto need = [&](int& i, const char* flag) -> const char* {
-        if (i + 1 >= argc) die(std::string("missing value for ") + flag);
-        return argv[++i];
-    };
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == "--help" || a == "-h") {
-            usage();
-            std::exit(0);
-        } else if (a == "--model") {
-            opt.model_path = need(i, "--model");
-        } else if (a == "--precision") {
-            opt.precision = need(i, "--precision");
-        } else if (a == "--libsvm") {
-            opt.libsvm_path = need(i, "--libsvm");
-        } else if (a == "--digits") {
-            opt.digit_count =
-                std::strtoull(need(i, "--digits"), nullptr, 10);
-        } else if (a == "--requests") {
-            opt.requests =
-                std::strtoull(need(i, "--requests"), nullptr, 10);
-        } else if (a == "--clients") {
-            opt.clients =
-                std::strtoull(need(i, "--clients"), nullptr, 10);
-        } else if (a == "--window") {
-            opt.window =
-                std::strtoull(need(i, "--window"), nullptr, 10);
-        } else if (a == "--workers") {
-            opt.workers =
-                std::strtoull(need(i, "--workers"), nullptr, 10);
-        } else if (a == "--batch") {
-            opt.batches = parse_batch_list(need(i, "--batch"));
-        } else if (a == "--queue") {
-            opt.queue_capacity =
-                std::strtoull(need(i, "--queue"), nullptr, 10);
-        } else if (a == "--linger") {
-            opt.linger_us =
-                std::strtoull(need(i, "--linger"), nullptr, 10);
-        } else if (a == "--impl") {
-            const std::string m = need(i, "--impl");
-            if (const auto impl = simd::parse_impl(m)) opt.impl = impl;
-            else die("unknown impl: " + m);
-        } else if (a == "--seed") {
-            opt.seed = std::strtoull(need(i, "--seed"), nullptr, 10);
-        } else if (a == "--listen") {
-            opt.listen = need(i, "--listen");
-        } else if (a == "--name") {
-            opt.gate_name = need(i, "--name");
-        } else if (a == "--duration") {
-            opt.duration_s = std::strtod(need(i, "--duration"), nullptr);
-        } else if (a == "--tenant-rate") {
-            opt.tenant_rate =
-                std::strtod(need(i, "--tenant-rate"), nullptr);
-        } else if (a == "--tenant-burst") {
-            opt.tenant_burst =
-                std::strtod(need(i, "--tenant-burst"), nullptr);
-        } else if (a == "--interactive-cap") {
-            opt.interactive_cap =
-                std::strtoull(need(i, "--interactive-cap"), nullptr, 10);
-        } else if (a == "--batch-cap") {
-            opt.batch_cap =
-                std::strtoull(need(i, "--batch-cap"), nullptr, 10);
-        } else if (tools::parse_obs_flag(opt.obs, argc, argv, i)) {
-            // shared observability flag, consumed
-        } else if (a == "--csv") {
-            opt.csv = true;
-        } else {
-            die("unknown flag: " + a);
-        }
-    }
-    if (opt.model_path.empty()) die("no --model given");
-    if (opt.requests == 0 || opt.clients == 0) die("need requests/clients >= 1");
-    return opt;
+    t.section("model:");
+    t.flag({"--model"}, "PATH", "BUCKWILD-MODEL file (required)",
+           flags::text(opt.model_path));
+    t.flag({"--precision"}, "P", "serving precision Ms8 | Ms16 | Ms32f "
+           "(default: the precision the model was trained at)",
+           flags::parsed(opt.precision, serve::parse_precision));
+
+    t.section("load (default: synthetic dense requests at the model "
+              "dimension):");
+    t.flag({"--libsvm"}, "PATH", "sparse requests from a LIBSVM file",
+           flags::text(opt.libsvm_path));
+    t.flag({"--digits"}, "N", "N synthetic digit images (dim must be " +
+           std::to_string(dataset::kDigitPixels) + ")",
+           flags::count(opt.digit_count));
+    t.flag({"--requests"}, "N", "total requests to serve (default 20000)",
+           flags::count(opt.requests, 1));
+    t.flag({"--clients"}, "C", "closed-loop client threads (default 1)",
+           flags::count(opt.clients, 1));
+    t.flag({"--window"}, "W", "in-flight requests per client (default 64; "
+           "1 = strict request-response)", flags::count(opt.window));
+
+    t.section("network serving (the front door; see tools/buckwild_gate):");
+    t.flag({"--listen"}, "HOST:PORT", "serve the gate wire protocol instead "
+           "of the closed-loop bench (port 0 = any free port, printed at "
+           "startup)", flags::parsed(opt.listen, net::parse_address));
+    t.flag({"--name"}, "NAME", "model name to publish (default: default)",
+           flags::text(opt.gate_name));
+    t.flag({"--duration"}, "S",
+           "exit after S seconds (default: run until SIGINT/SIGTERM)",
+           flags::real(opt.duration_s));
+    t.flag({"--tenant-rate"}, "R",
+           "per-tenant admission rate, requests/s (default: unlimited)",
+           flags::real(opt.tenant_rate));
+    t.flag({"--tenant-burst"}, "B", "per-tenant token-bucket burst (default "
+           "32)", flags::real(opt.tenant_burst));
+    t.flag({"--interactive-cap"}, "N", "interactive lane capacity (default "
+           "256)", flags::count(opt.interactive_cap));
+    t.flag({"--batch-cap"}, "N", "batch lane capacity (default 1024)",
+           flags::count(opt.batch_cap));
+
+    t.section("serving:");
+    t.flag({"--workers"}, "W", "scoring worker threads (default 1)",
+           flags::count(opt.workers));
+    t.flag({"--batch"}, "B[,B,...]", "micro-batch bound sweep (default 1,16)",
+           flags::list(opt.batches, [](const std::string& token) {
+               return flags::parse_count(token, 1);
+           }));
+    t.flag({"--queue"}, "N", "queue capacity (default 1024)",
+           flags::count(opt.queue_capacity));
+    t.flag({"--linger"}, "US",
+           "batch-fill linger in microseconds (default 200; 0 = no linger)",
+           flags::count(opt.linger_us));
+    t.flag({"--impl"}, "I", "reference | naive | avx2 | fma | avx512 "
+           "(default: fastest supported; the BUCKWILD_KERNEL_IMPL env var "
+           "overrides)", flags::parsed(opt.impl, simd::parse_impl));
+    t.flag({"--seed"}, "X",
+           "load-generator RNG seed, decimal (default 24301 = 0x5EED)",
+           flags::count(opt.seed));
+    t.flag({"--csv"}, "also print the table as CSV", flags::set(opt.csv, true));
+
+    t.section("observability:");
+    tools::add_obs_flags(t, opt.obs);
+    return t;
 }
 
 /// One pre-generated request: dense features or a sparse row, plus the
@@ -257,8 +176,8 @@ build_load(const Options& opt, std::size_t model_dim)
         }
     } else if (opt.digit_count > 0) {
         if (model_dim != dataset::kDigitPixels)
-            die("--digits needs a model of dimension " +
-                std::to_string(dataset::kDigitPixels));
+            throw std::runtime_error("--digits needs a model of dimension " +
+                                     std::to_string(dataset::kDigitPixels));
         const auto d = dataset::generate_digits(opt.digit_count, opt.seed);
         for (std::size_t i = 0; i < d.count; ++i) {
             load.dense.emplace_back(d.image(i),
@@ -274,7 +193,7 @@ build_load(const Options& opt, std::size_t model_dim)
             load.labels.push_back(p.y[i]);
         }
     }
-    if (load.size() == 0) die("empty load set");
+    if (load.size() == 0) throw std::runtime_error("empty load set");
     return load;
 }
 
@@ -406,7 +325,7 @@ run_gate(const Options& opt, const core::SavedModel& saved,
     gate::ModelRouter router;
     router.publish(opt.gate_name, saved, precision);
 
-    const net::Address bind = net::parse_address(opt.listen);
+    const net::Address& bind = *opt.listen;
     gate::GateConfig cfg;
     cfg.bind_address = bind.host;
     cfg.port = bind.port;
@@ -456,12 +375,14 @@ main(int argc, char** argv)
 {
     Options opt;
     try {
-        opt = parse_args(argc, argv);
+        cli(opt).parse_or_exit(argc, argv);
+        if (opt.model_path.empty())
+            tools::flags::usage_error("no --model given");
 
         const auto saved = core::load_model_file(opt.model_path);
-        const serve::Precision precision = opt.precision
-            ? serve::parse_precision(*opt.precision)
-            : serve::precision_from_signature(saved.signature);
+        const serve::Precision precision =
+            opt.precision ? *opt.precision
+                          : serve::precision_from_signature(saved.signature);
 
         serve::ModelRegistry registry;
         registry.publish(saved, precision);
@@ -475,7 +396,7 @@ main(int argc, char** argv)
                     simd::to_string(
                         opt.impl.value_or(simd::best_impl())));
 
-        if (!opt.listen.empty()) {
+        if (opt.listen) {
             // Network front-door mode; /metrics piggybacks on the same
             // shared observability session as the bench mode.
             tools::ObsSession::Workload workload;

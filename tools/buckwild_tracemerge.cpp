@@ -34,26 +34,22 @@
 #include <dirent.h>
 
 #include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-namespace {
+#include "flags.h"
 
-[[noreturn]] void
-die(const std::string& message)
-{
-    std::fprintf(stderr, "error: %s (try --help)\n", message.c_str());
-    std::exit(1);
-}
+namespace {
 
 // ------------------------------------------------------- tiny JSON
 
@@ -115,8 +111,8 @@ class JsonParser
     [[noreturn]] void
     fail(const char* what) const
     {
-        die("JSON parse error at byte " + std::to_string(pos_) + ": " +
-            what);
+        throw std::runtime_error("JSON parse error at byte " +
+                                 std::to_string(pos_) + ": " + what);
     }
 
     void
@@ -250,10 +246,11 @@ class JsonParser
             case 'r': out += '\r'; break;
             case 't': out += '\t'; break;
             case 'u': {
-                if (pos_ + 4 > text_.size()) fail("bad \\u escape");
-                const unsigned code = static_cast<unsigned>(
-                    std::strtoul(text_.substr(pos_, 4).c_str(), nullptr,
-                                 16));
+                unsigned code = 0;
+                const char* hex = text_.data() + pos_;
+                if (pos_ + 4 > text_.size() ||
+                    std::from_chars(hex, hex + 4, code, 16).ptr != hex + 4)
+                    fail("bad \\u escape");
                 pos_ += 4;
                 // The exporter only \u-escapes control bytes; emit the
                 // low byte and let anything exotic round-trip as '?'.
@@ -278,8 +275,9 @@ class JsonParser
         if (pos_ == start) fail("expected a value");
         JValue v;
         v.kind = JValue::kNumber;
-        v.number = std::strtod(text_.substr(start, pos_ - start).c_str(),
-                               nullptr);
+        const char* end = text_.data() + pos_;
+        if (std::from_chars(text_.data() + start, end, v.number).ptr != end)
+            fail("bad number");
         return v;
     }
 
@@ -386,7 +384,7 @@ ProcessTrace
 load_trace(const std::string& path)
 {
     std::ifstream in(path);
-    if (!in) die("cannot open " + path);
+    if (!in) throw std::runtime_error("cannot open " + path);
     std::stringstream buffer;
     buffer << in.rdbuf();
     const std::string text = buffer.str();
@@ -396,7 +394,8 @@ load_trace(const std::string& path)
     JValue root = JsonParser(text).parse();
     JValue* events = root.find("traceEvents");
     if (events == nullptr || events->kind != JValue::kArray)
-        die(path + ": not a Chrome trace (no traceEvents array)");
+        throw std::runtime_error(path +
+                                 ": not a Chrome trace (no traceEvents array)");
 
     for (JValue& ev : events->array) {
         const JValue* ph = ev.find("ph");
@@ -432,70 +431,52 @@ median(std::vector<double>& values)
                       : 0.5 * (values[n / 2 - 1] + values[n / 2]);
 }
 
-void
-usage()
-{
-    std::printf(
-        "buckwild_tracemerge — merge per-process Chrome traces into one\n"
-        "offset-corrected fleet timeline\n"
-        "\n"
-        "  buckwild_tracemerge [options] trace.json [trace.json ...]\n"
-        "\n"
-        "  --dir DIR              also merge every *.trace.json in DIR\n"
-        "  -o, --out PATH         output file (default merged.trace.json)\n"
-        "  --reference LABEL      process whose clock anchors the merge\n"
-        "                         (default: \"control\" when present,\n"
-        "                         else the first input)\n"
-        "  --require-cross-process\n"
-        "                         exit 1 unless some trace id appears in\n"
-        "                         at least two processes (CI assertion)\n");
-}
-
 } // namespace
 
 int
 main(int argc, char** argv)
-{
+try {
+    namespace flags = buckwild::tools::flags;
     std::vector<std::string> inputs;
     std::string out_path = "merged.trace.json";
     std::string reference;
     bool require_cross = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto need = [&](const char* flag) -> const char* {
-            if (i + 1 >= argc)
-                die(std::string("missing value for ") + flag);
-            return argv[++i];
-        };
-        if (a == "--help" || a == "-h") {
-            usage();
-            return 0;
-        } else if (a == "--dir") {
-            const std::string dir = need("--dir");
-            DIR* handle = ::opendir(dir.c_str());
-            if (handle == nullptr) die("cannot open directory " + dir);
-            while (const dirent* entry = ::readdir(handle)) {
-                const std::string name = entry->d_name;
-                const std::string suffix = ".trace.json";
-                if (name.size() > suffix.size() &&
-                    name.compare(name.size() - suffix.size(),
-                                 suffix.size(), suffix) == 0)
-                    inputs.push_back(dir + "/" + name);
-            }
-            ::closedir(handle);
-        } else if (a == "-o" || a == "--out") {
-            out_path = need("--out");
-        } else if (a == "--reference") {
-            reference = need("--reference");
-        } else if (a == "--require-cross-process") {
-            require_cross = true;
-        } else if (!a.empty() && a[0] == '-') {
-            die("unknown flag: " + a);
-        } else {
-            inputs.push_back(a);
-        }
-    }
+    flags::Table table(
+        "buckwild_tracemerge — merge per-process Chrome traces into one\n"
+        "offset-corrected fleet timeline\n\n"
+        "  buckwild_tracemerge [options] trace.json [trace.json ...]");
+    table.flag({"--dir"}, "DIR", "also merge every *.trace.json in DIR",
+               [&inputs](const std::string& dir) {
+                   DIR* handle = ::opendir(dir.c_str());
+                   if (handle == nullptr)
+                       throw std::runtime_error("cannot open directory " +
+                                                dir);
+                   const std::string suffix = ".trace.json";
+                   while (const dirent* entry = ::readdir(handle)) {
+                       const std::string name = entry->d_name;
+                       if (name.size() > suffix.size() &&
+                           name.compare(name.size() - suffix.size(),
+                                        suffix.size(), suffix) == 0)
+                           inputs.push_back(dir + "/" + name);
+                   }
+                   ::closedir(handle);
+               });
+    table.flag({"-o", "--out"}, "PATH",
+               "output file (default merged.trace.json)",
+               flags::text(out_path));
+    table.flag({"--reference"}, "LABEL",
+               "process whose clock anchors the merge (default: \"control\" "
+               "when present, else the first input)",
+               flags::text(reference));
+    table.flag({"--require-cross-process"},
+               "exit 1 unless some trace id appears in at least two "
+               "processes (CI assertion)",
+               flags::set(require_cross, true));
+    table.positional(
+        [&inputs](const std::string& path) { inputs.push_back(path); });
+    table.parse_or_exit(argc, argv);
+
     std::sort(inputs.begin(), inputs.end());
     inputs.erase(std::unique(inputs.begin(), inputs.end()), inputs.end());
     // A previous run's output living inside --dir must not become an
@@ -508,7 +489,8 @@ main(int argc, char** argv)
                                                file_stem(out_path);
                                 }),
                  inputs.end());
-    if (inputs.empty()) die("no input traces (files or --dir)");
+    if (inputs.empty())
+        flags::usage_error("no input traces (files or --dir)");
 
     std::vector<ProcessTrace> processes;
     for (const std::string& path : inputs)
@@ -541,7 +523,9 @@ main(int argc, char** argv)
                 ref = i;
                 found = true;
             }
-        if (!found) die("no input process labeled '" + reference + "'");
+        if (!found)
+            throw std::runtime_error("no input process labeled '" +
+                                     reference + "'");
     } else {
         for (std::size_t i = 0; i < processes.size(); ++i)
             if (processes[i].label == "control") ref = i;
@@ -583,7 +567,7 @@ main(int argc, char** argv)
 
     // ---- emit the merged timeline ---------------------------------
     std::ofstream out(out_path);
-    if (!out) die("cannot open output " + out_path);
+    if (!out) throw std::runtime_error("cannot open output " + out_path);
     out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
     bool first = true;
     auto emit = [&](const JValue& ev) {
@@ -673,8 +657,10 @@ main(int argc, char** argv)
                   });
         const std::string low = id.size() > 16 ? id.substr(id.size() - 16)
                                                : id;
-        const std::uint64_t flow_id =
-            std::strtoull(low.c_str(), nullptr, 16);
+        std::uint64_t flow_id = 0;
+        const char* end = low.data() + low.size();
+        if (std::from_chars(low.data(), end, flow_id, 16).ptr != end)
+            flow_id = std::hash<std::string>{}(id); // not a hex id
         for (std::size_t p = 0; p < points.size(); ++p) {
             const char* ph = p == 0 ? "s"
                 : p + 1 == points.size() ? "f"
@@ -692,7 +678,7 @@ main(int argc, char** argv)
         }
     }
     out << "\n]}\n";
-    if (!out) die("write failed for " + out_path);
+    if (!out) throw std::runtime_error("write failed for " + out_path);
 
     // ---- summary ---------------------------------------------------
     std::printf("merged %zu processes, %zu events into %s\n",
@@ -718,4 +704,7 @@ main(int argc, char** argv)
         return 1;
     }
     return 0;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
 }

@@ -13,8 +13,6 @@
  * Run with --help for the full flag list.
  */
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -31,49 +29,6 @@ namespace {
 
 using namespace buckwild;
 
-void
-usage()
-{
-    std::printf(
-        "buckwild_train — asynchronous low-precision SGD (Buckwild!)\n"
-        "\n"
-        "data source (choose one):\n"
-        "  --dense N M            synthetic dense logistic problem\n"
-        "  --sparse N M DENSITY   synthetic sparse logistic problem\n"
-        "  --libsvm PATH [DIM]    LIBSVM-format file (sparse)\n"
-        "\n"
-        "training:\n"
-        "  --signature SIG        DMGC signature (default D8M8 / D8i16M8)\n"
-        "  --loss L               logistic | squared | hinge\n"
-        "  --threads T            Hogwild! workers (default 1)\n"
-        "  --epochs E             (default 10)\n"
-        "  --eta S                step size (default 0.15)\n"
-        "  --decay D              per-epoch step decay (default 0.95)\n"
-        "  --batch B              mini-batch size (default 1)\n"
-        "  --rounding R           biased | mersenne | xorshift | shared\n"
-        "  --impl I               reference | naive | avx2 | fma | avx512\n"
-        "                         (default: fastest supported; the\n"
-        "                         BUCKWILD_KERNEL_IMPL env var overrides)\n"
-        "  --shuffle              shuffle example order per epoch\n"
-        "  --seed X               RNG seed\n"
-        "\n"
-        "outputs:\n"
-        "  --save PATH            write the trained model\n"
-        "  --advise               print DMGC-advisor recommendations\n"
-        "  --quiet                suppress the per-epoch loss trace\n"
-        "\n"
-        "observability:\n"
-        "%s",
-        tools::obs_cli_usage());
-}
-
-[[noreturn]] void
-die(const std::string& message)
-{
-    std::fprintf(stderr, "error: %s (try --help)\n", message.c_str());
-    std::exit(1);
-}
-
 struct Options
 {
     enum class Source { kNone, kDense, kSparse, kLibsvm } source =
@@ -83,103 +38,83 @@ struct Options
     std::string libsvm_path;
     std::size_t libsvm_dim = 0;
 
-    std::optional<std::string> signature;
-    core::TrainerConfig cfg;
+    std::optional<dmgc::Signature> signature;
+    core::TrainerConfig cfg = [] {
+        core::TrainerConfig cfg;
+        cfg.epochs = 10;
+        cfg.step_size = 0.15f;
+        return cfg;
+    }();
     std::optional<std::string> save_path;
     bool advise = false;
     bool quiet = false;
     tools::ObsCliOptions obs;
 };
 
-Options
-parse_args(int argc, char** argv)
+tools::flags::Table
+cli(Options& opt)
 {
-    Options opt;
-    opt.cfg.epochs = 10;
-    opt.cfg.step_size = 0.15f;
-    auto need = [&](int& i, const char* flag) -> const char* {
-        if (i + 1 >= argc) die(std::string("missing value for ") + flag);
-        return argv[++i];
-    };
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == "--help" || a == "-h") {
-            usage();
-            std::exit(0);
-        } else if (a == "--dense") {
-            opt.source = Options::Source::kDense;
-            opt.dim = std::strtoull(need(i, "--dense"), nullptr, 10);
-            opt.examples = std::strtoull(need(i, "--dense"), nullptr, 10);
-        } else if (a == "--sparse") {
-            opt.source = Options::Source::kSparse;
-            opt.dim = std::strtoull(need(i, "--sparse"), nullptr, 10);
-            opt.examples = std::strtoull(need(i, "--sparse"), nullptr, 10);
-            opt.density = std::strtod(need(i, "--sparse"), nullptr);
-        } else if (a == "--libsvm") {
-            opt.source = Options::Source::kLibsvm;
-            opt.libsvm_path = need(i, "--libsvm");
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                opt.libsvm_dim =
-                    std::strtoull(argv[++i], nullptr, 10);
-        } else if (a == "--signature") {
-            opt.signature = need(i, "--signature");
-        } else if (a == "--loss") {
-            const std::string l = need(i, "--loss");
-            if (l == "logistic") opt.cfg.loss = core::Loss::kLogistic;
-            else if (l == "squared") opt.cfg.loss = core::Loss::kSquared;
-            else if (l == "hinge") opt.cfg.loss = core::Loss::kHinge;
-            else die("unknown loss: " + l);
-        } else if (a == "--threads") {
-            opt.cfg.threads =
-                std::strtoull(need(i, "--threads"), nullptr, 10);
-        } else if (a == "--epochs") {
-            opt.cfg.epochs =
-                std::strtoull(need(i, "--epochs"), nullptr, 10);
-        } else if (a == "--eta") {
-            opt.cfg.step_size =
-                static_cast<float>(std::strtod(need(i, "--eta"), nullptr));
-        } else if (a == "--decay") {
-            opt.cfg.step_decay = static_cast<float>(
-                std::strtod(need(i, "--decay"), nullptr));
-        } else if (a == "--batch") {
-            opt.cfg.batch_size =
-                std::strtoull(need(i, "--batch"), nullptr, 10);
-        } else if (a == "--rounding") {
-            const std::string r = need(i, "--rounding");
-            if (r == "biased")
-                opt.cfg.rounding = core::RoundingStrategy::kBiased;
-            else if (r == "mersenne")
-                opt.cfg.rounding =
-                    core::RoundingStrategy::kMersennePerWrite;
-            else if (r == "xorshift")
-                opt.cfg.rounding =
-                    core::RoundingStrategy::kXorshiftPerWrite;
-            else if (r == "shared")
-                opt.cfg.rounding = core::RoundingStrategy::kSharedXorshift;
-            else die("unknown rounding: " + r);
-        } else if (a == "--impl") {
-            const std::string m = need(i, "--impl");
-            if (const auto impl = simd::parse_impl(m)) opt.cfg.impl = *impl;
-            else die("unknown impl: " + m);
-        } else if (a == "--shuffle") {
-            opt.cfg.shuffle = true;
-        } else if (a == "--seed") {
-            opt.cfg.seed = std::strtoull(need(i, "--seed"), nullptr, 10);
-        } else if (a == "--save") {
-            opt.save_path = need(i, "--save");
-        } else if (a == "--advise") {
-            opt.advise = true;
-        } else if (a == "--quiet") {
-            opt.quiet = true;
-        } else if (tools::parse_obs_flag(opt.obs, argc, argv, i)) {
-            // shared observability flag, consumed
-        } else {
-            die("unknown flag: " + a);
-        }
-    }
-    if (opt.source == Options::Source::kNone)
-        die("no data source given (--dense / --sparse / --libsvm)");
-    return opt;
+    namespace flags = tools::flags;
+    using Source = Options::Source;
+    flags::Table t("buckwild_train — asynchronous low-precision SGD "
+                   "(Buckwild!)");
+
+    t.section("data source (choose one):");
+    t.flag({"--dense"}, "N M", "synthetic dense logistic problem",
+           flags::count(opt.dim), flags::set(opt.source, Source::kDense))
+        .value(flags::count(opt.examples));
+    t.flag({"--sparse"}, "N M DENSITY", "synthetic sparse logistic problem",
+           flags::count(opt.dim), flags::set(opt.source, Source::kSparse))
+        .value(flags::count(opt.examples))
+        .value(flags::real(opt.density));
+    t.flag({"--libsvm"}, "PATH [DIM]", "LIBSVM-format file (sparse)",
+           flags::text(opt.libsvm_path),
+           flags::set(opt.source, Source::kLibsvm))
+        .optional(flags::count(opt.libsvm_dim));
+
+    core::TrainerConfig& c = opt.cfg;
+    t.section("training:");
+    t.flag({"--signature"}, "SIG", "DMGC signature (default D8M8 / D8i16M8)",
+           flags::parsed(opt.signature, dmgc::parse_signature));
+    t.flag({"--loss"}, "L", "logistic | squared | hinge",
+           flags::choice(c.loss, {{"logistic", core::Loss::kLogistic},
+                                  {"squared", core::Loss::kSquared},
+                                  {"hinge", core::Loss::kHinge}}));
+    t.flag({"--threads"}, "T", "Hogwild! workers (default 1)",
+           flags::count(c.threads));
+    t.flag({"--epochs"}, "E", "(default 10)", flags::count(c.epochs));
+    t.flag({"--eta"}, "S", "step size (default 0.15)",
+           flags::real(c.step_size));
+    t.flag({"--decay"}, "D", "per-epoch step decay (default 0.95)",
+           flags::real(c.step_decay));
+    t.flag({"--batch"}, "B", "mini-batch size (default 1)",
+           flags::count(c.batch_size));
+    t.flag({"--rounding"}, "R", "biased | mersenne | xorshift | shared",
+           flags::choice(
+               c.rounding,
+               {{"biased", core::RoundingStrategy::kBiased},
+                {"mersenne", core::RoundingStrategy::kMersennePerWrite},
+                {"xorshift", core::RoundingStrategy::kXorshiftPerWrite},
+                {"shared", core::RoundingStrategy::kSharedXorshift}}));
+    t.flag({"--impl"}, "I", "reference | naive | avx2 | fma | avx512 "
+           "(default: fastest supported; the BUCKWILD_KERNEL_IMPL env var "
+           "overrides)", flags::parsed(c.impl, simd::parse_impl));
+    t.flag({"--shuffle"}, "shuffle example order per epoch",
+           flags::set(c.shuffle, true));
+    t.flag({"--seed"}, "X", "RNG seed, decimal (default 24301 = 0x5EED)",
+           flags::count(c.seed));
+
+    t.section("outputs:");
+    t.flag({"--save"}, "PATH", "write the trained model",
+           flags::text(opt.save_path));
+    t.flag({"--advise"}, "print DMGC-advisor recommendations",
+           flags::set(opt.advise, true));
+    t.flag({"--quiet"}, "suppress the per-epoch loss trace",
+           flags::set(opt.quiet, true));
+
+    t.section("observability:");
+    tools::add_obs_flags(t, opt.obs);
+    return t;
 }
 
 } // namespace
@@ -189,10 +124,13 @@ main(int argc, char** argv)
 {
     Options opt;
     try {
-        opt = parse_args(argc, argv);
+        cli(opt).parse_or_exit(argc, argv);
+        if (opt.source == Options::Source::kNone)
+            tools::flags::usage_error(
+                "no data source given (--dense / --sparse / --libsvm)");
         const bool sparse = opt.source != Options::Source::kDense;
-        opt.cfg.signature = dmgc::parse_signature(
-            opt.signature.value_or(sparse ? "D8i16M8" : "D8M8"));
+        opt.cfg.signature = opt.signature.value_or(
+            dmgc::parse_signature(sparse ? "D8i16M8" : "D8M8"));
 
         core::Trainer trainer(opt.cfg);
         core::TrainingMetrics metrics;

@@ -12,13 +12,13 @@
 #      test_obs + test_live + test_gate, which exercise the registry
 #      hot-swap, the request queue, the serving worker loop, the
 #      parameter-server shards/transport/cluster, the socket fabric
-#      (accept/reader threads, frame I/O, loopback clusters), the
-#      observability counters/trace rings, the live tier (sampler
-#      thread, HTTP scrapes, and the conformance/perf listeners racing
-#      hot-path writers), and the serving front door (event loop +
-#      scoring workers + pipelined clients on one gate, malformed
-#      ingress included) — the races these subsystems could plausibly
-#      have.
+#      (send/recv on the serving thread, close() from another, frame
+#      I/O, loopback clusters), the observability counters/trace rings,
+#      the live tier (sampler thread, HTTP scrapes, and the
+#      conformance/perf listeners racing hot-path writers), and the
+#      serving front door (event loop + scoring workers + pipelined
+#      clients on one gate, malformed ingress included) — the races
+#      these subsystems could plausibly have.
 #
 # Usage: tools/check.sh [-j N]
 set -euo pipefail

@@ -2,18 +2,10 @@
  * @file
  * Shared observability CLI plumbing for the buckwild_* tools.
  *
- * Every tool gets the same six flags from one parser instead of three
- * divergent copies:
- *
- *   --trace-out PATH         Chrome trace_event JSON of the run
- *   --metrics-out PATH       flat-JSON metrics registry dump at exit
- *   --timeseries-out PATH    sampler JSONL flight record (one line/tick)
- *   --obs-port N             serve GET /metrics + /healthz on port N
- *                            (0 = pick a free port and print it)
- *   --obs-period-ms N        sampler tick period (default 500)
- *   --conformance-band LO,HI acceptable measured/predicted GNPS ratio
- *
- * and one ObsSession RAII object that wires the live tier together:
+ * Every tool but buckwild_tracemerge appends the same six entries to its
+ * flag table (tools/flags.h): --trace-out, --metrics-out,
+ * --timeseries-out, --obs-port, --obs-period-ms and --conformance-band,
+ * and shares one ObsSession RAII object that wires the live tier together:
  * tracer enablement, the Sampler (with the tool's GNPS input gauges as
  * rate gauges), the perf-counter publisher and DMGC conformance watchdog
  * as sampler listeners, and the HTTP exporter — then tears it all down
@@ -29,12 +21,11 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 
 #include "dmgc/signature.h"
+#include "flags.h"
 #include "lowp/round.h"
 #include "obs/obs.h"
 #include "simd/registry.h"
@@ -85,91 +76,37 @@ struct ObsCliOptions
     bool live() const { return port >= 0 || !timeseries_path.empty(); }
 };
 
-/// The usage-text block for the shared flags (printed by every tool
-/// under its "observability:" heading).
-inline const char*
-obs_cli_usage()
+/// The six shared observability flags, bound to `opt`. Every tool but
+/// buckwild_tracemerge appends them under its observability heading.
+inline void
+add_obs_flags(flags::Table& t, ObsCliOptions& opt)
 {
-    return
-        "  --trace-out PATH       write a Chrome trace_event JSON of the\n"
-        "                         run (open in chrome://tracing / Perfetto)\n"
-        "  --metrics-out PATH     write the metrics registry as flat JSON\n"
-        "  --timeseries-out PATH  append one JSONL line per sampler tick\n"
-        "                         (live counters, gauges, derived rates)\n"
-        "  --obs-port N           serve Prometheus GET /metrics and\n"
-        "                         GET /healthz on port N (0 = any free\n"
-        "                         port, printed at startup)\n"
-        "  --obs-period-ms N      sampler period in ms (default 500)\n"
-        "  --conformance-band L,H flag ticks whose measured/predicted\n"
-        "                         GNPS ratio leaves [L, H]\n";
-}
-
-namespace detail {
-
-[[noreturn]] inline void
-obs_die(const std::string& message)
-{
-    std::fprintf(stderr, "error: %s (try --help)\n", message.c_str());
-    std::exit(1);
-}
-
-inline const char*
-obs_need(int argc, char** argv, int& i, const char* flag)
-{
-    if (i + 1 >= argc)
-        obs_die(std::string("missing value for ") + flag);
-    return argv[++i];
-}
-
-} // namespace detail
-
-/**
- * Consumes argv[i] if it is one of the shared observability flags
- * (advancing `i` over the flag's value). Returns false — leaving `i`
- * untouched — for anything else, so tools call this from the tail of
- * their flag-dispatch chain.
- */
-inline bool
-parse_obs_flag(ObsCliOptions& opt, int argc, char** argv, int& i)
-{
-    const std::string a = argv[i];
-    if (a == "--trace-out") {
-        opt.trace_path = detail::obs_need(argc, argv, i, "--trace-out");
-    } else if (a == "--metrics-out") {
-        opt.metrics_path = detail::obs_need(argc, argv, i, "--metrics-out");
-    } else if (a == "--timeseries-out") {
-        opt.timeseries_path =
-            detail::obs_need(argc, argv, i, "--timeseries-out");
-    } else if (a == "--obs-port") {
-        const char* v = detail::obs_need(argc, argv, i, "--obs-port");
-        char* rest = nullptr;
-        const long port = std::strtol(v, &rest, 10);
-        if (rest == v || *rest != '\0' || port < 0 || port > 65535)
-            detail::obs_die("bad --obs-port (want 0..65535): " +
-                            std::string(v));
-        opt.port = static_cast<int>(port);
-    } else if (a == "--obs-period-ms") {
-        const char* v = detail::obs_need(argc, argv, i, "--obs-period-ms");
-        char* rest = nullptr;
-        opt.period_ms = std::strtoull(v, &rest, 10);
-        if (rest == v || *rest != '\0' || opt.period_ms == 0)
-            detail::obs_die("--obs-period-ms must be >= 1");
-    } else if (a == "--conformance-band") {
-        const char* v =
-            detail::obs_need(argc, argv, i, "--conformance-band");
-        char* rest = nullptr;
-        opt.band_lo = std::strtod(v, &rest);
-        if (rest == nullptr || *rest != ',')
-            detail::obs_die("bad --conformance-band (want LO,HI): " +
-                            std::string(v));
-        opt.band_hi = std::strtod(rest + 1, nullptr);
-        if (!(opt.band_lo > 0.0) || !(opt.band_hi > opt.band_lo))
-            detail::obs_die("bad --conformance-band (want 0 < LO < HI): " +
-                            std::string(v));
-    } else {
-        return false;
-    }
-    return true;
+    t.flag({"--trace-out"}, "PATH", "write a Chrome trace_event JSON of the "
+           "run (open in chrome://tracing / Perfetto)",
+           flags::text(opt.trace_path));
+    t.flag({"--metrics-out"}, "PATH", "write the metrics registry as flat JSON",
+           flags::text(opt.metrics_path));
+    t.flag({"--timeseries-out"}, "PATH", "append one JSONL line per sampler "
+           "tick (live counters, gauges, derived rates)",
+           flags::text(opt.timeseries_path));
+    t.flag({"--obs-port"}, "N", "serve Prometheus GET /metrics and GET "
+           "/healthz on port N (0 = any free port, printed at startup)",
+           flags::port(opt.port));
+    t.flag({"--obs-period-ms"}, "N", "sampler period in ms (default 500)",
+           flags::count(opt.period_ms, 1));
+    t.flag({"--conformance-band"}, "L,H",
+           "flag ticks whose measured/predicted GNPS ratio leaves [L, H]",
+           [&opt](const std::string& token) {
+               const std::size_t comma = token.find(',');
+               const double lo = flags::parse_real(token.substr(0, comma));
+               const double hi = comma == std::string::npos
+                   ? 0.0
+                   : flags::parse_real(token.substr(comma + 1));
+               if (!(lo > 0.0) || !(hi > lo))
+                   throw flags::Error("want 0 < LO < HI, got " + token);
+               opt.band_lo = lo;
+               opt.band_hi = hi;
+           });
 }
 
 /**
