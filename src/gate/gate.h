@@ -3,7 +3,8 @@
  * Umbrella header for the serving front door.
  *
  * The gate is the network edge of the serving tier: a binary wire
- * protocol over net:: frames (wire.h), a poll-based ingress event loop
+ * protocol over net:: frames (wire.h), ingress on a net::Reactor polled
+ * by one I/O thread, with replies posted to each connection's outbox
  * (server.h), model-name routing over per-name ModelRegistry instances
  * (router.h), admission control — per-tenant token buckets plus
  * cost-aware deadline rejection seeded from the DMGC roofline

@@ -30,30 +30,21 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 
 #include "gate/wire.h"
+#include "net/reactor.h"
 #include "obs/registry.h"
 
 namespace buckwild::gate {
-
-/// Where a worker delivers the response for one task. Implemented by
-/// the server's per-connection writer; tasks hold a shared_ptr so a
-/// connection that closes mid-queue just absorbs the late reply.
-class Sink
-{
-  public:
-    virtual ~Sink() = default;
-    /// Must be callable from any worker thread.
-    virtual void send_response(const ScoreResponse& response) = 0;
-};
 
 /// One admitted request waiting for a scoring worker.
 struct GateTask
 {
     ScoreRequest request;
-    std::shared_ptr<Sink> sink;
+    /// Where the response goes. A connection that closes while the task
+    /// waits makes the late reply a no-op.
+    net::Reactor::ConnectionPtr connection;
     /// Trace identity carried from the request's wire block (invalid
     /// when the client was not tracing) — the worker's score span and
     /// the response echo both derive from it.

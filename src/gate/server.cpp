@@ -1,12 +1,5 @@
 #include "gate/server.h"
 
-#include <fcntl.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
 #include <vector>
 
 #include "net/frame.h"
@@ -27,32 +20,6 @@ steady_seconds()
         .count();
 }
 
-void
-set_nonblocking(int fd)
-{
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-/**
- * send(2) for the nonblocking connection fds: EAGAIN waits for
- * writability (bounded — a peer that stops reading for 5s forfeits the
- * connection) instead of failing the write_full loop outright.
- */
-long
-patient_send(int fd, const void* data, std::size_t n)
-{
-    for (int spins = 0; spins < 100; ++spins) {
-        const long sent = ::send(fd, data, n, MSG_NOSIGNAL);
-        if (sent >= 0 || (errno != EAGAIN && errno != EWOULDBLOCK))
-            return sent;
-        pollfd writable{fd, POLLOUT, 0};
-        ::poll(&writable, 1, 50);
-    }
-    errno = EAGAIN;
-    return -1;
-}
-
 /// Echoes a traced request's identity and timestamps onto its response
 /// (any status, NACKs included) so the client ends up with a complete
 /// NTP-style clock-offset sample. No-op for untraced requests.
@@ -68,54 +35,6 @@ stamp_reply_trace(const ScoreRequest& request, std::int64_t recv_ns,
 }
 
 } // namespace
-
-/**
- * One accepted client: the fd, its incremental frame decoder, and the
- * Sink workers reply through. Reads happen only on the event-loop
- * thread; writes (worker replies, event-loop NACKs) serialize on
- * `write_mutex_`, which also guards the close handshake so a worker
- * can never write into a recycled descriptor.
- */
-class GateServer::Connection : public Sink
-{
-  public:
-    Connection(net::Fd fd, std::size_t max_frame_bytes)
-        : fd_(std::move(fd)), splitter_(max_frame_bytes)
-    {
-    }
-
-    int raw_fd() const { return fd_.get(); }
-    net::FrameSplitter& splitter() { return splitter_; }
-
-    void
-    send_response(const ScoreResponse& response) override
-    {
-        // One buffer for header + payload so the frame goes out in a
-        // single write_full pass (through the patient writer, since the
-        // fd is nonblocking).
-        const std::vector<std::uint8_t> frame =
-            net::make_frame(serialize(response));
-        std::lock_guard<std::mutex> lock(write_mutex_);
-        if (!fd_.valid()) return; // closed while the task was queued
-        if (!net::write_full(fd_.get(), frame.data(), frame.size(),
-                             &patient_send))
-            fd_.shutdown_rdwr(); // let the event loop reap it
-    }
-
-    /// Closes the socket; replies already queued on workers become
-    /// no-ops. Only the event loop calls this.
-    void
-    close()
-    {
-        std::lock_guard<std::mutex> lock(write_mutex_);
-        fd_.reset();
-    }
-
-  private:
-    net::Fd fd_;
-    net::FrameSplitter splitter_;
-    std::mutex write_mutex_;
-};
 
 GateServer::GateServer(ModelRouter& router, const dmgc::PerfModel& perf,
                        GateConfig config)
@@ -139,7 +58,16 @@ GateServer::GateServer(ModelRouter& router, const dmgc::PerfModel& perf,
       deadline_missed_(metrics_.counter("gate.deadline_missed")),
       malformed_(metrics_.counter("gate.malformed")),
       completed_(metrics_.counter("gate.completed")),
-      connections_(metrics_.gauge("gate.connections"))
+      connections_(metrics_.gauge("gate.connections")),
+      reactor_({.max_payload_bytes = config_.max_frame_bytes,
+                .listen = true,
+                .bind_address = config_.bind_address,
+                .port = config_.port,
+                .max_connections = config_.max_connections},
+          [this](const auto& c, const auto& f) { handle_payload(c, f); },
+          // Desynced or hostile framing: the reactor drops the stream,
+          // which has no recoverable next boundary.
+          [this](const ConnectionPtr&) { malformed_.add(1); })
 {
     if (config_.workers == 0) fatal("GateServer requires workers >= 1");
     for (std::size_t lane = 0; lane < kLanes; ++lane)
@@ -154,17 +82,15 @@ GateServer::GateServer(ModelRouter& router, const dmgc::PerfModel& perf,
     hop_admission_ = hop("admission");
     hop_queue_ = hop("queue");
     hop_score_ = hop("score");
-    std::string error;
-    listener_ = net::listen_tcp(config_.bind_address, config_.port, 128,
-                                &port_, &error);
-    if (!listener_.valid())
-        throw std::runtime_error("gate: cannot listen on " +
-                                 config_.bind_address + ":" +
-                                 std::to_string(config_.port) + ": " +
-                                 error);
-    set_nonblocking(listener_.get());
     workers_.start(config_.workers, [this](std::size_t) { worker_loop(); });
-    io_thread_.start(1, [this](std::size_t) { event_loop(); });
+    io_thread_.start(1, [this](std::size_t) {
+        // close() wakes the poll; the timeout is only a backstop.
+        while (!reactor_.closed()) {
+            reactor_.poll(std::chrono::seconds(1));
+            connections_.set(static_cast<double>(reactor_.connections()));
+        }
+        connections_.set(0.0);
+    });
 }
 
 GateServer::~GateServer()
@@ -177,7 +103,7 @@ GateServer::stop()
 {
     if (stopped_) return;
     stopped_ = true;
-    stopping_.store(true, std::memory_order_release);
+    reactor_.close();
     io_thread_.join();
     scheduler_.close();
     workers_.join();
@@ -209,7 +135,7 @@ GateServer::shed_counter(const char* reason)
 obs::Counter&
 GateServer::tenant_counter(const std::string& tenant)
 {
-    // Event-loop thread only — no lock needed on the cache map.
+    // I/O thread only — no lock needed on the cache map.
     auto& slot = by_tenant_[tenant];
     if (slot == nullptr)
         slot = &metrics_.counter(
@@ -218,141 +144,62 @@ GateServer::tenant_counter(const std::string& tenant)
 }
 
 void
-GateServer::event_loop()
+GateServer::reply(const ConnectionPtr& connection,
+                  const ScoreResponse& response)
 {
-    std::map<int, std::shared_ptr<Connection>> connections;
-    std::vector<pollfd> fds;
-    std::vector<std::uint8_t> payload;
-    std::uint8_t buffer[64 * 1024];
-    while (!stopping_.load(std::memory_order_acquire)) {
-        fds.clear();
-        fds.push_back({listener_.get(), POLLIN, 0});
-        for (const auto& [fd, connection] : connections)
-            fds.push_back({fd, POLLIN, 0});
-        const int ready =
-            ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 50);
-        if (ready <= 0) continue;
-
-        // New clients.
-        if ((fds[0].revents & POLLIN) != 0) {
-            while (true) {
-                net::Fd client(
-                    ::accept(listener_.get(), nullptr, nullptr));
-                if (!client.valid()) break;
-                if (connections.size() >= config_.max_connections) {
-                    // Past the connection cap the cheapest refusal is
-                    // not accepting state for the peer at all.
-                    continue; // RAII closes it
-                }
-                set_nonblocking(client.get());
-                const int fd = client.get();
-                connections.emplace(
-                    fd, std::make_shared<Connection>(
-                            std::move(client), config_.max_frame_bytes));
-                connections_.set(
-                    static_cast<double>(connections.size()));
-            }
-        }
-
-        // Readable clients.
-        for (std::size_t i = 1; i < fds.size(); ++i) {
-            if ((fds[i].revents & (POLLIN | POLLERR | POLLHUP)) == 0)
-                continue;
-            const auto it = connections.find(fds[i].fd);
-            if (it == connections.end()) continue;
-            const std::shared_ptr<Connection>& connection = it->second;
-            bool drop = false;
-            while (true) {
-                const long got = ::recv(connection->raw_fd(), buffer,
-                                        sizeof(buffer), 0);
-                if (got > 0) {
-                    connection->splitter().push(
-                        buffer, static_cast<std::size_t>(got));
-                    net::SplitResult result;
-                    while ((result = connection->splitter().next(
-                                payload)) == net::SplitResult::kFrame)
-                        handle_payload(connection, payload.data(),
-                                       payload.size());
-                    if (result == net::SplitResult::kBadMagic ||
-                        result == net::SplitResult::kTooLarge) {
-                        // Desynced or hostile framing: the stream has
-                        // no recoverable next boundary — drop it.
-                        malformed_.add(1);
-                        drop = true;
-                    }
-                    continue;
-                }
-                if (got == 0) { // peer finished
-                    drop = true;
-                } else if (errno != EAGAIN && errno != EWOULDBLOCK &&
-                           errno != EINTR) {
-                    drop = true;
-                }
-                break;
-            }
-            if (drop) {
-                connection->close();
-                connections.erase(it);
-                connections_.set(
-                    static_cast<double>(connections.size()));
-            }
-        }
-    }
-    for (auto& [fd, connection] : connections) connection->close();
-    connections_.set(0.0);
+    const std::vector<std::uint8_t> frame =
+        net::make_frame(serialize(response));
+    reactor_.post(connection, frame.data(), frame.size());
 }
 
 void
-GateServer::handle_payload(const std::shared_ptr<Connection>& connection,
-                           const std::uint8_t* data, std::size_t n)
+GateServer::handle_payload(const ConnectionPtr& connection,
+                           const std::vector<std::uint8_t>& payload)
 {
     const std::int64_t recv_ns = obs::trace_now_ns();
     GateTask task;
-    if (!deserialize(data, n, task.request)) {
-        // Well-framed but unparseable: answer kInvalid if the request
-        // id is recoverable? It is not (the parse failed) — poison the
-        // connection by shutting it down; the read loop will reap it.
+    if (!deserialize(payload.data(), payload.size(), task.request)) {
+        // Well-framed but unparseable: the stream is still in sync, so
+        // the connection stays; the NACK cannot echo a request id.
         malformed_.add(1);
         ScoreResponse nack;
         nack.status = Status::kInvalid;
         nack.message = "malformed score request";
-        connection->send_response(nack);
+        reply(connection, nack);
         return;
     }
     const ScoreRequest& request = task.request;
     task.ctx = request.trace.ctx;
     task.recv_ns = recv_ns;
     // Wire hop: client send -> ingress arrival. Offset-skewed across
-    // hosts online; buckwild_tracemerge corrects the stitched view.
+    // hosts online; buckwild_tracemerge corrects the stitched view. The
+    // stamp is the client's: subtracted as doubles, a hostile one cannot
+    // overflow.
     if (request.trace.ctx.valid() && request.trace.send_ts_ns != 0)
-        hop_wire_in_->record(
-            static_cast<double>(recv_ns - request.trace.send_ts_ns) *
-            1e-9);
+        hop_wire_in_->record((static_cast<double>(recv_ns) -
+                              static_cast<double>(request.trace.send_ts_ns)) *
+                             1e-9);
     obs::TracedSpan admit_span("gate", "gate.admit", task.ctx);
-
-    ScoreResponse reject;
-    reject.request_id = request.request_id;
-
-    if (stopping_.load(std::memory_order_acquire)) {
-        reject.status = Status::kShuttingDown;
+    // A refusal is one NACK, counted under its reason.
+    const auto shed = [&](Status status, const char* reason,
+                          std::string message) {
+        shed_counter(reason).add(1);
+        shed_total_.fetch_add(1, std::memory_order_relaxed);
+        ScoreResponse reject;
+        reject.request_id = request.request_id;
+        reject.status = status;
+        reject.message = std::move(message);
         stamp_reply_trace(request, recv_ns, reject);
-        connection->send_response(reject);
-        return;
-    }
+        reply(connection, reject);
+    };
 
     // Route before admitting: an unknown model must not consume the
     // tenant's tokens.
     Stopwatch admission_clock;
     const serve::ModelRegistry* registry = router_.find(request.model);
-    if (registry == nullptr || registry->current() == nullptr) {
-        shed_counter("unknown_model").add(1);
-        shed_total_.fetch_add(1, std::memory_order_relaxed);
-        reject.status = Status::kUnknownModel;
-        reject.message = "no model named '" + request.model + "'";
-        stamp_reply_trace(request, recv_ns, reject);
-        connection->send_response(reject);
-        return;
-    }
+    if (registry == nullptr || registry->current() == nullptr)
+        return shed(Status::kUnknownModel, "unknown_model",
+                    "no model named '" + request.model + "'");
 
     const double numbers =
         static_cast<double>(request.feature_count());
@@ -362,31 +209,17 @@ GateServer::handle_payload(const std::shared_ptr<Connection>& connection,
     const Decision decision = admission_.admit(
         request, backlog_s, service_s, steady_seconds());
     hop_admission_->record(admission_clock.seconds());
-    if (!decision.admitted()) {
-        shed_counter(decision.reason).add(1);
-        shed_total_.fetch_add(1, std::memory_order_relaxed);
-        reject.status = decision.status;
-        reject.message = decision.reason;
-        stamp_reply_trace(request, recv_ns, reject);
-        connection->send_response(reject);
-        return;
-    }
+    if (!decision.admitted())
+        return shed(decision.status, decision.reason, decision.reason);
 
-    task.sink = connection;
+    task.connection = connection;
     task.enqueued = std::chrono::steady_clock::now();
     if (request.deadline_us > 0)
         task.deadline =
             task.enqueued + std::chrono::microseconds(request.deadline_us);
     const std::string tenant = request.tenant;
-    if (!scheduler_.try_push(std::move(task))) {
-        shed_counter("lane_full").add(1);
-        shed_total_.fetch_add(1, std::memory_order_relaxed);
-        reject.status = Status::kResourceExhausted;
-        reject.message = "lane_full";
-        stamp_reply_trace(request, recv_ns, reject);
-        connection->send_response(reject);
-        return;
-    }
+    if (!scheduler_.try_push(std::move(task)))
+        return shed(Status::kResourceExhausted, "lane_full", "lane_full");
     admitted_.add(1);
     tenant_counter(tenant).add(1);
 }
@@ -397,7 +230,7 @@ GateServer::worker_loop()
     GateTask task;
     while (scheduler_.pop(task)) {
         score_task(task);
-        task.sink.reset(); // release the connection promptly
+        task.connection.reset(); // release the connection promptly
     }
 }
 
@@ -419,7 +252,7 @@ GateServer::score_task(GateTask& task)
         response.status = Status::kDeadlineExceeded;
         response.message = "deadline expired in queue";
         stamp_reply_trace(request, task.recv_ns, response);
-        task.sink->send_response(response);
+        reply(task.connection, response);
         return;
     }
 
@@ -430,7 +263,7 @@ GateServer::score_task(GateTask& task)
         response.status = Status::kUnknownModel;
         response.message = "model disappeared while queued";
         stamp_reply_trace(request, task.recv_ns, response);
-        task.sink->send_response(response);
+        reply(task.connection, response);
         return;
     }
 
@@ -475,7 +308,7 @@ GateServer::score_task(GateTask& task)
             .count();
     latency_[static_cast<std::size_t>(request.lane)]->record(latency);
     stamp_reply_trace(request, task.recv_ns, response);
-    task.sink->send_response(response);
+    reply(task.connection, response);
 }
 
 } // namespace buckwild::gate

@@ -5,8 +5,8 @@
  *     TCP clients
  *        │  net:: frames carrying gate/wire.h messages
  *        ▼
- *     event loop (ONE thread, poll over listener + every connection,
- *        │         FrameSplitter per connection)
+ *     net::Reactor, polled by ONE I/O thread (listener + every
+ *        │          connection, FrameSplitter and outbox per connection)
  *        │  parse -> route (ModelRouter) -> admit (AdmissionController)
  *        │  rejects answered inline: one small NACK frame, no queueing
  *        ▼
@@ -14,13 +14,14 @@
  *        │
  *        ▼
  *     scoring workers (InferenceEngine against the routed model
- *                      snapshot; replies written back through the
- *                      task's connection Sink)
+ *                      snapshot; each reply posted to its task's
+ *                      connection)
  *
- * The division of labor is the point: the event-loop thread does only
- * cheap work (framing, parsing, policy), so its capacity to *refuse*
- * survives any scoring overload — the property bench_gate_overload
- * measures as bounded admitted-p99 plus explicit shed past saturation.
+ * The division of labor is the point: the I/O thread does only cheap
+ * work (framing, parsing, policy), so its capacity to *refuse* survives
+ * any scoring overload — the property bench_gate_overload measures as
+ * bounded admitted-p99 plus explicit shed past saturation. No thread
+ * waits on a client: one that stops reading stalls only itself.
  *
  * Everything observable lands in one obs registry under `gate.*`:
  * admitted/shed/deadline-miss counters (shed broken out by reason,
@@ -42,7 +43,7 @@
 #include "gate/router.h"
 #include "gate/scheduler.h"
 #include "gate/wire.h"
-#include "net/socket.h"
+#include "net/reactor.h"
 #include "obs/registry.h"
 #include "serve/engine.h"
 #include "simd/ops.h"
@@ -58,7 +59,8 @@ struct GateConfig
     std::size_t workers = 2; ///< scoring threads
     std::size_t interactive_capacity = 256; ///< interactive lane bound
     std::size_t batch_capacity = 1024;      ///< batch lane bound
-    std::size_t max_frame_bytes = 1u << 20; ///< ingress frame cap
+    /// Ingress frame cap; also bounds a connection's unsent replies.
+    std::size_t max_frame_bytes = 1u << 20;
     std::size_t max_connections = 1024;
     AdmissionConfig admission; ///< per-tenant rate limits
     /// Roofline fallback when the serving signature has no calibration
@@ -88,7 +90,7 @@ struct GateStats
 class GateServer
 {
   public:
-    /// Binds and starts the event loop + workers.
+    /// Binds and starts the I/O thread + workers.
     /// @throws std::runtime_error when the listener cannot bind.
     GateServer(ModelRouter& router, const dmgc::PerfModel& perf,
                GateConfig config);
@@ -98,7 +100,7 @@ class GateServer
     GateServer& operator=(const GateServer&) = delete;
 
     /// The bound TCP port (resolves an ephemeral request).
-    std::uint16_t port() const { return port_; }
+    std::uint16_t port() const { return reactor_.port(); }
 
     GateStats stats() const;
 
@@ -112,13 +114,15 @@ class GateServer
     void stop();
 
   private:
-    class Connection;
+    using ConnectionPtr = net::Reactor::ConnectionPtr;
 
-    void event_loop();
     void worker_loop();
-    void handle_payload(const std::shared_ptr<Connection>& connection,
-                        const std::uint8_t* data, std::size_t n);
+    void handle_payload(const ConnectionPtr& connection,
+                        const std::vector<std::uint8_t>& payload);
     void score_task(GateTask& task);
+    /// Frames `response` and posts it to the connection; never blocks.
+    void reply(const ConnectionPtr& connection,
+               const ScoreResponse& response);
     obs::Counter& shed_counter(const char* reason);
     obs::Counter& tenant_counter(const std::string& tenant);
 
@@ -129,9 +133,6 @@ class GateServer
     AdmissionController admission_;
     CostModel cost_;
     LaneScheduler scheduler_;
-
-    net::Fd listener_;
-    std::uint16_t port_ = 0;
 
     // gate.* instruments (direct handles: always live, even OBS=OFF).
     obs::Counter& admitted_;
@@ -147,10 +148,10 @@ class GateServer
     obs::Histo* hop_score_;     ///< engine compute on the worker
     std::map<std::string, obs::Counter*> shed_by_reason_;
     std::mutex shed_mutex_;
-    std::map<std::string, obs::Counter*> by_tenant_; ///< event-loop only
+    std::map<std::string, obs::Counter*> by_tenant_; ///< I/O thread only
     std::atomic<std::uint64_t> shed_total_{0};
 
-    std::atomic<bool> stopping_{false};
+    net::Reactor reactor_;
     WorkerGroup io_thread_;
     WorkerGroup workers_;
     bool stopped_ = false;

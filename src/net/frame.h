@@ -16,21 +16,23 @@
  *
  *  - write_frame() sends the header, then the payload, in two sends
  *    (the gate client's path); append_frame_header() lets a writer
- *    build header and payload in one buffer and put the whole frame on
- *    the wire with one write (the gate's replies through make_frame(),
- *    and the parameter-server socket fabric, which serializes its
- *    message straight after the header);
- *  - read_frame() blocks on one descriptor until a whole frame arrived;
- *    FrameSplitter is the incremental decoder for non-blocking reads,
- *    fed whatever bytes a recv() returned (the gate's event loop, and
- *    the socket fabric, which reads on the thread that consumes).
+ *    build header and payload in one buffer, which net::Reactor then
+ *    puts on the wire with one send (the gate's replies through
+ *    make_frame(), and the parameter-server socket fabric, which
+ *    serializes its message straight after the header);
+ *  - read_frame() blocks on one descriptor until a whole frame arrived
+ *    (the gate client); FrameSplitter is the incremental decoder for
+ *    non-blocking reads, fed whatever bytes a recv() returned
+ *    (net::Reactor, one per connection, under both the gate's ingress
+ *    and the socket fabric).
  *
  * Both readers enforce a maximum payload size *before* allocating, so
  * a corrupt or hostile length prefix cannot balloon memory; a bad magic
  * or oversized length poisons the connection (the caller must drop it —
  * after a desync there is no way to find the next frame boundary).
  * Partial reads and short writes are absorbed by the socket.h I/O
- * loops underneath read_frame() and write_frame().
+ * loops underneath read_frame() and write_frame(), and by the Reactor's
+ * splitters and outboxes.
  */
 #ifndef BUCKWILD_NET_FRAME_H
 #define BUCKWILD_NET_FRAME_H
@@ -64,7 +66,7 @@ enum class FrameResult {
 bool write_frame(int fd, const std::uint8_t* payload, std::size_t n);
 
 /// Header + payload as one buffer, for writers that must put a whole
-/// frame on the wire in a single write (the gate's nonblocking replies).
+/// frame on the wire in a single write (the gate's replies).
 std::vector<std::uint8_t> make_frame(const std::vector<std::uint8_t>& payload);
 
 /// Appends the header of a frame whose payload is `payload_bytes` long;
@@ -92,9 +94,8 @@ enum class SplitResult {
  *
  * read_frame() blocks until a whole frame arrives, which is right for
  * a client reading its one connection but wrong for a thread
- * multiplexing many connections (the gate ingress, and the socket
- * fabric's recv(), which polls its listener and every connection). A
- * FrameSplitter is the buffered alternative: push() whatever bytes
+ * multiplexing many connections (net::Reactor, under the gate ingress
+ * and the socket fabric). A FrameSplitter is the buffered alternative: push() whatever bytes
  * recv() returned, then drain complete frames with next(). Validation
  * matches read_frame exactly — bad magic or an oversized length poisons
  * the splitter (after a desync there is no next frame boundary), and

@@ -4,30 +4,31 @@
  * tree.
  *
  * Everything that talks TCP goes through these helpers: the obs
- * Prometheus exporter (accept loop + bounded request reads) and the
- * parameter-server SocketTransport (framed cluster traffic). The
- * surface is deliberately small and blocking-with-timeouts:
+ * Prometheus exporter (accept loop + bounded request reads), the gate
+ * client, and net::Reactor (net/reactor.h), the event loop under the
+ * parameter-server socket fabric and the gate's ingress. The surface is
+ * deliberately small and blocking-with-timeouts:
  *
  *  - Fd: move-only RAII file descriptor;
  *  - listen_tcp(): SO_REUSEADDR bind + listen, port 0 = ephemeral (the
  *    bound port is reported back, which is how tests avoid fixed-port
  *    collisions);
  *  - accept_client(): poll-with-timeout accept so accept loops can
- *    re-check a stop flag without signals or self-pipes;
+ *    re-check a stop flag without signals or self-pipes; it sets
+ *    TCP_NODELAY, and it is the Reactor's accept path too;
  *  - connect_tcp(): connect with bounded retry + exponential backoff —
  *    cluster processes come up in any order, so a worker dialing a
  *    shard that has not bound yet must spin politely instead of dying;
- *  - write_full()/read_full(): THE exact-count I/O pair — every frame
- *    send/recv path (ps socket_transport, the obs HTTP exporter, the
- *    gate ingress) funnels through these two loops, so short writes,
- *    partial reads, and EINTR are absorbed in exactly one place.
- *    write_full uses MSG_NOSIGNAL so a peer that hangs up mid-write can
- *    never SIGPIPE the process; read_full_or_eof() additionally
- *    distinguishes a clean EOF on the first byte from a mid-read
- *    truncation, which is how framing tells "peer finished" from "peer
- *    died". Both take an injectable raw-syscall hook so tests can force
- *    1-byte writes and spurious EINTRs through the exact production
- *    loops.
+ *  - write_full()/read_full(): the blocking exact-count I/O pair of a
+ *    thread that owns its descriptor (the HTTP exporter, the gate
+ *    client's write_frame()/read_frame()); the Reactor never blocks on
+ *    a peer and does its own I/O. Short writes, partial reads, and
+ *    EINTR are absorbed here; write_full uses MSG_NOSIGNAL so a peer
+ *    that hangs up mid-write can never SIGPIPE the process;
+ *    read_full_or_eof() tells a clean EOF on the first byte ("peer
+ *    finished") from a mid-read truncation ("peer died"). Both take an
+ *    injectable raw-syscall hook so tests can force 1-byte writes and
+ *    spurious EINTRs through the exact production loops.
  *
  * No protocol lives here — framing is net/frame.h, message semantics
  * are the callers'.

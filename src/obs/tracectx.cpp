@@ -162,8 +162,19 @@ clock_sample_from_reply(const WireTrace& reply, std::int64_t recv_ts_ns)
     const std::int64_t a2 = recv_ts_ns;            // we received
     if (a1 == 0 || b1 == 0 || b2 == 0 || a2 == 0) return sample;
     if (a2 < a1 || b2 < b1) return sample;
-    sample.offset_ns = ((b1 - a1) + (b2 - a2)) / 2;
-    sample.rtt_ns = (a2 - a1) - (b2 - b1);
+    // Three stamps are the peer's, and any int64 parses: a sample whose
+    // differences overflow is refused rather than computed.
+    std::int64_t out = 0, back = 0, sum = 0, round_trip = 0, held = 0,
+                 rtt = 0;
+    if (__builtin_sub_overflow(b1, a1, &out) ||
+        __builtin_sub_overflow(b2, a2, &back) ||
+        __builtin_add_overflow(out, back, &sum) ||
+        __builtin_sub_overflow(a2, a1, &round_trip) ||
+        __builtin_sub_overflow(b2, b1, &held) ||
+        __builtin_sub_overflow(round_trip, held, &rtt))
+        return sample;
+    sample.offset_ns = sum / 2;
+    sample.rtt_ns = rtt;
     sample.valid = true;
     return sample;
 }

@@ -54,8 +54,9 @@ ServerShard::run()
         try {
             if (!handle(std::move(message))) return;
         } catch (const std::runtime_error& e) {
-            warn("ps: shard " + std::to_string(index_) +
-                 " dropped a malformed request: " + e.what());
+            malformed_warnings_.warn("ps: shard " + std::to_string(index_) +
+                                     " dropped a malformed request: " +
+                                     e.what());
             BUCKWILD_OBS_COUNT("ps.shard.malformed", 1);
         }
     }

@@ -38,6 +38,7 @@
 #include "ps/metrics.h"
 #include "ps/transport.h"
 #include "simd/ops.h"
+#include "util/logging.h"
 
 namespace buckwild::ps {
 
@@ -62,8 +63,8 @@ class ServerShard
     /// drains, or a kShutdown arrives (multi-process teardown). A request
     /// the shard cannot serve (unknown worker or reply endpoint, a
     /// gradient that is not its slice or does not decode, a reply kind)
-    /// is dropped with a warning and counted in ps.shard.malformed. Call
-    /// on a dedicated thread.
+    /// is dropped and counted in ps.shard.malformed; only the first few
+    /// warn. Call on a dedicated thread.
     void run();
 
     std::size_t index() const { return index_; }
@@ -121,6 +122,7 @@ class ServerShard
     obs::Gauge& ssp_bounce_rate_;
     std::map<std::pair<std::uint32_t, std::uint64_t>, obs::Counter*>
         staleness_counters_;
+    BoundedWarn malformed_warnings_;
 };
 
 } // namespace buckwild::ps

@@ -21,16 +21,13 @@
  *    listen, and dials the shard addresses it was configured with
  *    (lazily, with connect-retry — processes start in any order).
  *
- * No thread lives inside the transport. recv() polls the listener and
- * every connection itself: non-blocking reads feed one net::FrameSplitter
- * per connection, and the parsed messages go into the endpoint's
- * mailbox, which applies the FaultModel reorder window. A message is
- * therefore read, parsed and consumed on one thread, and an RPC wakes
- * only the two threads that act on it. send() writes each frame —
- * header, destination and message in one buffer — with one write; a
- * send that finds the socket full keeps reading inbound frames while it
- * waits, so two nodes writing large frames at each other cannot
- * deadlock.
+ * No thread lives inside the transport: it runs on a net::Reactor,
+ * which owns the listener, the connections and how bytes move. recv()
+ * polls the reactor on the consuming thread and parses each frame into
+ * the endpoint's mailbox (which applies the FaultModel reorder window),
+ * so an RPC wakes only the two threads that act on it. send() builds
+ * header, destination and message in one buffer, which
+ * net::Reactor::send puts on the wire with one write before it returns.
  *
  * Threading: send() and recv() run on the one thread that serves the
  * endpoint (a shard loop, a worker, a control client); close() may be
@@ -53,23 +50,20 @@
  * traffic comparisons hold across fabrics; the *actual* framed TCP
  * bytes are exported to the obs registry as net.sent_bytes /
  * net.recv_bytes (with net.frames_sent / net.frames_recv / net.drops).
+ * Inbound frames dropped as runt, unparseable, misaddressed or
+ * desynchronized are counted in net.malformed; only the first few warn.
  */
 #ifndef BUCKWILD_PS_SOCKET_TRANSPORT_H
 #define BUCKWILD_PS_SOCKET_TRANSPORT_H
 
-#include <poll.h>
-
-#include <atomic>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "net/frame.h"
-#include "net/socket.h"
+#include "net/reactor.h"
 #include "ps/transport.h"
+#include "util/logging.h"
 
 namespace buckwild::ps {
 
@@ -121,10 +115,7 @@ class SocketTransport final : public Transport
     /// recv(), and closes the mailbox (receivers drain, then see
     /// closed). Callable from any thread.
     void close() override;
-    bool closed() const override
-    {
-        return closed_.load(std::memory_order_acquire);
-    }
+    bool closed() const override { return reactor_.closed(); }
 
     /// A loopback TCP round trip plus shard service time sits in the
     /// low milliseconds; retransmitting on the in-proc 200us clock
@@ -135,69 +126,29 @@ class SocketTransport final : public Transport
     }
 
     /// The port this transport listens on (0 when not listening).
-    std::uint16_t port() const { return port_; }
+    std::uint16_t port() const { return reactor_.port(); }
 
   private:
-    /// One TCP connection and the decoder of its inbound byte stream.
-    struct Connection
-    {
-        Connection(net::Fd socket, std::size_t max_payload_bytes,
-                   bool inbound)
-            : fd(std::move(socket)), splitter(max_payload_bytes),
-              accepted(inbound)
-        {}
+    using ConnectionPtr = net::Reactor::ConnectionPtr;
 
-        net::Fd fd;
-        net::FrameSplitter splitter;
-        /// True when the listener produced this connection. Only inbound
-        /// connections carry requests, so only they teach reply routes;
-        /// everything read on a dialed connection is a reply, and a
-        /// reply whose kind overlaps a request kind (kStats) must not
-        /// overwrite the dialer's routing table.
-        bool accepted;
-        bool dead = false;
-    };
-    using ConnectionPtr = std::shared_ptr<Connection>;
-
-    /// Waits up to `timeout` for the listener or any connection, then
-    /// accepts and reads whatever is ready into the mailbox. When
-    /// `writer` is set it also returns once that connection is writable.
-    void pump(std::chrono::nanoseconds timeout,
-              const Connection* writer = nullptr);
-    void accept_pending();
-    /// Reads everything buffered on `connection` into the mailbox.
-    void read_connection(const ConnectionPtr& connection);
     void deliver(const ConnectionPtr& connection,
                  const std::vector<std::uint8_t>& payload);
-    /// Forgets dead connections and the routes through them.
-    void reap();
+    /// Counts a dropped inbound frame in net.malformed; warns for the
+    /// first few only.
+    void reject(const std::string& why);
     ConnectionPtr route_for(std::size_t to);
-    void add_connection(const ConnectionPtr& connection);
     bool write_message(const ConnectionPtr& connection, std::size_t to,
                        const Message& message);
 
     const SocketTransportConfig config_;
     Mailbox mailbox_;
-    net::Fd listen_fd_;
-    net::Fd wake_fd_; ///< eventfd: close() makes it readable
-    std::uint16_t port_ = 0;
-
-    /// Guards connections_ against close() on another thread; the
-    /// serving thread alone adds, removes and reads connections.
-    std::mutex conn_mutex_;
-    std::vector<ConnectionPtr> connections_;
+    net::Reactor reactor_;
     /// endpoint -> connection, learned from inbound requests or dialing.
     std::map<std::size_t, ConnectionPtr> routes_;
     /// Every peer endpoint a dial has reached: losing one is fatal.
     std::set<std::size_t> reached_;
-
-    // Scratch of the serving thread, reused across calls.
-    std::vector<pollfd> poll_fds_;
-    std::vector<std::uint8_t> read_buffer_;
-    std::vector<std::uint8_t> payload_;
-    std::vector<std::uint8_t> frame_;
-
-    std::atomic<bool> closed_{false};
+    std::vector<std::uint8_t> frame_; ///< send scratch, reused
+    BoundedWarn malformed_warnings_;
 };
 
 } // namespace buckwild::ps

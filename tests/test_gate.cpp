@@ -14,9 +14,12 @@
 #include <cerrno>
 #include <cmath>
 #include <cstring>
+#include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 
 #include <atomic>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -769,11 +772,23 @@ TEST(GateEndToEnd, ScoresDenseQ8AndSparseOverLoopback)
     EXPECT_EQ(sparse_response->status, gate::Status::kOk);
     EXPECT_FLOAT_EQ(sparse_response->margin, -1.0f);
 
+    // A trace block's send stamp is the client's to choose. The wire-in
+    // hop subtracts it from the arrival time, and the client's clock
+    // sample subtracts its echo: neither may overflow.
+    gate::ScoreRequest traced = request;
+    traced.request_id = 45;
+    traced.trace.ctx = obs::make_root_context();
+    traced.trace.send_ts_ns = std::numeric_limits<std::int64_t>::min();
+    const auto traced_response = client.call(traced);
+    ASSERT_TRUE(traced_response.has_value());
+    EXPECT_EQ(traced_response->status, gate::Status::kOk);
+    EXPECT_FLOAT_EQ(traced_response->margin, expected);
+
     EXPECT_TRUE(eventually([&] {
         const gate::GateStats stats = fixture.server->stats();
-        return stats.admitted == 3 && stats.completed == 3 &&
+        return stats.admitted == 4 && stats.completed == 4 &&
             stats.shed == 0;
-    })) << "admitted/completed/shed never settled at 3/3/0";
+    })) << "admitted/completed/shed never settled at 4/4/0";
 }
 
 TEST(GateEndToEnd, UnknownModelIsNackedWithoutCharge)
@@ -886,6 +901,145 @@ TEST(GateEndToEnd, BadMagicDropsConnectionButNotTheServer)
     EXPECT_EQ(response->status, gate::Status::kOk);
     EXPECT_FLOAT_EQ(response->margin, -1.0f);
     EXPECT_GE(fixture.server->stats().malformed, 1u);
+}
+
+/**
+ * A raw client that writes `request` frames as fast as the gate takes
+ * them and never reads a reply, with a receive buffer as small as the
+ * kernel allows, until the gate closes its connection (a send fails) or
+ * 30 s pass.
+ */
+class Flood
+{
+  public:
+    Flood(const net::Address& address, const gate::ScoreRequest& request)
+    {
+        // The buffer is set before connecting, so the window the client
+        // advertises never exceeds it.
+        fd_ = net::Fd(::socket(AF_INET, SOCK_STREAM, 0));
+        const int small = 4096;
+        ::setsockopt(fd_.get(), SOL_SOCKET, SO_RCVBUF, &small,
+                     sizeof(small));
+        sockaddr_in to{};
+        to.sin_family = AF_INET;
+        to.sin_port = htons(address.port);
+        to.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        EXPECT_EQ(::connect(fd_.get(), reinterpret_cast<sockaddr*>(&to),
+                            sizeof(to)),
+                  0);
+        const std::vector<std::uint8_t> frame =
+            net::make_frame(serialize(request));
+        std::vector<std::uint8_t> burst;
+        for (int i = 0; i < 256; ++i)
+            burst.insert(burst.end(), frame.begin(), frame.end());
+        thread_ = std::thread([this, burst] {
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(30);
+            std::size_t at = 0; // a short send may stop mid-frame
+            while (std::chrono::steady_clock::now() < deadline) {
+                const long w =
+                    ::send(fd_.get(), burst.data() + at, burst.size() - at,
+                           MSG_NOSIGNAL | MSG_DONTWAIT);
+                if (w > 0) {
+                    at = (at + static_cast<std::size_t>(w)) % burst.size();
+                } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+                    pollfd writable{fd_.get(), POLLOUT, 0};
+                    ::poll(&writable, 1, 50);
+                } else if (errno != EINTR) {
+                    closed_.store(true); // reset by the gate
+                    return;
+                }
+            }
+        });
+    }
+
+    ~Flood() { thread_.join(); }
+
+    /// True once the gate has closed the flooding connection.
+    bool closed() const { return closed_.load(); }
+
+  private:
+    net::Fd fd_;
+    std::atomic<bool> closed_{false};
+    std::thread thread_; // last: it uses the members above
+};
+
+/// Probes the gate with `probe` on its own connection for as long as
+/// `flood` runs: every call must be answered, and within 1 s. Then the
+/// flood must have been closed, leaving only the probe's connection.
+void
+expect_flood_stalls_only_itself(GateFixture& fixture, const Flood& flood,
+                                gate::ScoreRequest probe)
+{
+    gate::GateClient client(fixture.address());
+    ASSERT_TRUE(client.connected());
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    int calls = 0;
+    // A few probes after the close too, while the gate drops its queue.
+    for (int after = 0; after < 5;) {
+        probe.request_id = 2 * static_cast<std::uint64_t>(++calls);
+        const auto sent = std::chrono::steady_clock::now();
+        const auto response =
+            client.call(probe, std::chrono::milliseconds(1000));
+        ASSERT_TRUE(response.has_value())
+            << "call " << calls << " waited past 1 s behind the flood";
+        EXPECT_EQ(response->status, gate::Status::kOk);
+        EXPECT_LT(std::chrono::steady_clock::now() - sent,
+                  std::chrono::seconds(1));
+        if (flood.closed()) ++after;
+        ASSERT_LT(std::chrono::steady_clock::now(), give_up)
+            << "the gate never closed the connection that stopped reading";
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    EXPECT_TRUE(eventually([&] {
+        return fixture.registry.gauge("gate.connections").value() == 1.0;
+    })) << "the flooding connection is still counted";
+}
+
+TEST(GateSlowReader, IngressNacksToAReaderThatStoppedStallOnlyIt)
+{
+    // Unknown-model requests are refused by the ingress thread itself.
+    // Their NACKs pile up on a client that never reads; the thread that
+    // reads every connection must never wait on that one.
+    gate::GateConfig config;
+    config.workers = 1;
+    config.max_frame_bytes = 64 * 1024; // outbox bound: one such frame
+    GateFixture fixture(config);
+    gate::ScoreRequest flood_request;
+    flood_request.model = "never-published";
+    flood_request.tenant = "flood";
+    flood_request.dense = {1.0f};
+    const Flood flood(fixture.address(), flood_request);
+
+    gate::ScoreRequest probe;
+    probe.model = "unit";
+    probe.tenant = "probe";
+    probe.dense = {1.0f, 0.0f, 0.0f, 0.0f};
+    expect_flood_stalls_only_itself(fixture, flood, probe);
+}
+
+TEST(GateSlowReader, WorkerRepliesToAReaderThatStoppedStallOnlyIt)
+{
+    // The same with admitted requests: the gate's one scoring worker
+    // writes their replies, and must never wait on the flooding client.
+    gate::GateConfig config;
+    config.workers = 1;
+    config.max_frame_bytes = 64 * 1024;
+    GateFixture fixture(config);
+    gate::ScoreRequest flood_request;
+    flood_request.model = "unit";
+    flood_request.tenant = "flood";
+    flood_request.lane = gate::Lane::kBatch;
+    flood_request.dense = {1.0f, 1.0f, 1.0f, 1.0f};
+    const Flood flood(fixture.address(), flood_request);
+
+    gate::ScoreRequest probe;
+    probe.model = "unit";
+    probe.tenant = "probe";
+    probe.lane = gate::Lane::kInteractive;
+    probe.dense = {1.0f, 0.0f, 0.0f, 0.0f};
+    expect_flood_stalls_only_itself(fixture, flood, probe);
 }
 
 TEST(GateEndToEnd, StopIsIdempotentAndDrains)

@@ -25,6 +25,8 @@
 #include <cstring>
 #include <future>
 #include <limits>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -34,6 +36,7 @@
 #include "ps/ps.h"
 #include "rng/xorshift.h"
 #include "test_common.h"
+#include "util/logging.h"
 #include "util/thread_pool.h"
 #include "wire_fuzz.h"
 
@@ -925,6 +928,9 @@ TEST(NetShard, SurvivesEveryWellFramedRequest)
     });
     const std::uint64_t malformed_before =
         obs::MetricsRegistry::global().counter("ps.shard.malformed").value();
+    // Each dropped request is counted; only the first few may warn, or
+    // any peer could make the shard write a line per frame it sends.
+    testing::internal::CaptureStderr();
 
     // The probes, each built from a valid request.
     std::vector<Message> probes;
@@ -997,6 +1003,12 @@ TEST(NetShard, SurvivesEveryWellFramedRequest)
     transport.close();
     serving.join();
     EXPECT_EQ(thrown, nullptr);
+    std::istringstream log(testing::internal::GetCapturedStderr());
+    std::size_t warnings = 0;
+    for (std::string line; std::getline(log, line);)
+        warnings += line.rfind("warn:", 0) == 0 ? 1 : 0;
+    EXPECT_GE(warnings, 1u);
+    EXPECT_LE(warnings, BoundedWarn::kLimit);
 #if BUCKWILD_OBS_ENABLED
     EXPECT_GE(obs::MetricsRegistry::global()
                       .counter("ps.shard.malformed")

@@ -21,6 +21,7 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -388,6 +389,29 @@ TEST(ObsTraceCtx, ClockSampleFromReply)
     EXPECT_FALSE(obs::clock_sample_from_reply(request, 100).valid);
     // Non-causal timestamps (a2 < a1) are refused, not averaged in.
     EXPECT_FALSE(obs::clock_sample_from_reply(reply, 500).valid);
+
+    // Three of the stamps are the peer's, so any int64 can arrive. A
+    // sample whose differences do not fit in int64 is refused; every
+    // other one is exact.
+    const std::int64_t lo = std::numeric_limits<std::int64_t>::min();
+    const std::int64_t hi = std::numeric_limits<std::int64_t>::max();
+    const std::int64_t stamps[] = {lo, lo + 1, -1, 1, 5400, hi - 1, hi};
+    for (const std::int64_t a1 : stamps)
+        for (const std::int64_t b1 : stamps)
+            for (const std::int64_t b2 : stamps)
+                for (const std::int64_t a2 : stamps) {
+                    reply.echo_send_ts_ns = a1;
+                    reply.echo_recv_ts_ns = b1;
+                    reply.send_ts_ns = b2;
+                    const obs::ClockSample x =
+                        obs::clock_sample_from_reply(reply, a2);
+                    if (!x.valid) continue;
+                    using Wide = __int128;
+                    EXPECT_EQ(Wide{x.offset_ns},
+                              (Wide{b1} - a1 + (Wide{b2} - a2)) / 2);
+                    EXPECT_EQ(Wide{x.rtt_ns},
+                              Wide{a2} - a1 - (Wide{b2} - b1));
+                }
 }
 
 // --------------------------------------------------------------- export

@@ -3,8 +3,9 @@
 # on):
 #
 #   0. lint: no quantization/rounding primitive outside src/lowp/
-#      (tools/lint_quantizers.sh) and no byte-codec helper outside
-#      src/net/bytes.h (tools/lint_codec.sh);
+#      (tools/lint_quantizers.sh), no byte-codec helper outside
+#      src/net/bytes.h (tools/lint_codec.sh) and no poll, accept or
+#      non-blocking socket call outside src/net/ (tools/lint_net.sh);
 #   1. build the whole tree under ASan+UBSan and run the full gtest suite
 #      (including test_lowp's cross-layer bit-identity goldens and the
 #      fixed-seed mutation fuzz of the ps, gate and trace-block decoders);
@@ -16,9 +17,10 @@
 #      I/O, loopback clusters), the observability counters/trace rings,
 #      the live tier (sampler thread, HTTP scrapes, and the
 #      conformance/perf listeners racing hot-path writers), and the
-#      serving front door (event loop + scoring workers + pipelined
-#      clients on one gate, malformed ingress included) — the races
-#      these subsystems could plausibly have.
+#      serving front door (the net::Reactor's I/O thread + scoring
+#      workers posting replies + pipelined clients on one gate,
+#      malformed ingress and clients that stop reading included) — the
+#      races these subsystems could plausibly have.
 #
 # Usage: tools/check.sh [-j N]
 set -euo pipefail
@@ -32,9 +34,10 @@ while getopts "j:" opt; do
   esac
 done
 
-echo "== lint: substrate is the only quantizer, net/bytes.h the only byte codec =="
+echo "== lint: substrate is the only quantizer, net/bytes.h the only byte codec, net::Reactor the only event loop =="
 tools/lint_quantizers.sh
 tools/lint_codec.sh
+tools/lint_net.sh
 
 echo "== ASan+UBSan: full suite =="
 cmake --preset asan
