@@ -30,7 +30,6 @@
 #include "dmgc/taxonomy.h"
 #include "fixed/fixed_point.h"
 #include "fixed/nibble.h"
-#include "fixed/quantize.h"
 #include "lowp/dispatch.h"
 #include "lowp/grid.h"
 #include "lowp/rep_traits.h"

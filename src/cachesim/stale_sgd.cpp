@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/trainer.h"
 #include "rng/xorshift.h"
 #include "util/logging.h"
 
@@ -28,20 +29,12 @@ train_with_stale_reads(const dataset::DenseProblem& problem,
 
     StaleSgdResult result;
     auto eval = [&] {
-        double total = 0.0;
-        std::size_t correct = 0;
-        for (std::size_t i = 0; i < problem.examples; ++i) {
-            float z = 0.0f;
-            const float* x = problem.row(i);
-            for (std::size_t k = 0; k < n; ++k) z += shared[k] * x[k];
-            total +=
-                core::loss_value(core::Loss::kLogistic, z, problem.y[i]);
-            if (core::loss_correct(core::Loss::kLogistic, z, problem.y[i]))
-                ++correct;
-        }
-        result.accuracy = static_cast<double>(correct) /
-                          static_cast<double>(problem.examples);
-        return total / static_cast<double>(problem.examples);
+        const core::Evaluation e = core::evaluate(
+            core::Loss::kLogistic, problem.y, [&](std::size_t i) {
+                return core::predict_margin(shared, problem.row(i));
+            });
+        result.accuracy = e.accuracy;
+        return e.loss;
     };
 
     float eta = cfg.step_size;
@@ -65,8 +58,7 @@ train_with_stale_reads(const dataset::DenseProblem& problem,
             }
 
             const float* x = problem.row(i);
-            float z = 0.0f;
-            for (std::size_t k = 0; k < n; ++k) z += w[k] * x[k];
+            const float z = core::predict_margin(w, x);
             const float g = core::loss_gradient_coefficient(
                 core::Loss::kLogistic, z, problem.y[i]);
             const float c = -eta * g;

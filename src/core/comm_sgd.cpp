@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/trainer.h"
 #include "ps/quantize.h"
 #include "util/logging.h"
 
@@ -33,18 +34,11 @@ train_comm_sgd(const dataset::DenseProblem& problem,
         static_cast<double>(n) * cfg.comm_bits / 8.0 + sizeof(float);
 
     auto eval = [&] {
-        double total = 0.0;
-        std::size_t correct = 0;
-        for (std::size_t i = 0; i < problem.examples; ++i) {
-            float z = 0.0f;
-            const float* x = problem.row(i);
-            for (std::size_t k = 0; k < n; ++k) z += model[k] * x[k];
-            total += loss_value(cfg.loss, z, problem.y[i]);
-            if (loss_correct(cfg.loss, z, problem.y[i])) ++correct;
-        }
-        result.accuracy = static_cast<double>(correct) /
-                          static_cast<double>(problem.examples);
-        return total / static_cast<double>(problem.examples);
+        const Evaluation e = evaluate(cfg.loss, problem.y, [&](std::size_t i) {
+            return predict_margin(model, problem.row(i));
+        });
+        result.accuracy = e.accuracy;
+        return e.loss;
     };
 
     const std::size_t round_examples = cfg.workers * cfg.batch_per_worker;
@@ -63,9 +57,7 @@ train_comm_sgd(const dataset::DenseProblem& problem,
                     const std::size_t i =
                         base + w * cfg.batch_per_worker + b;
                     const float* x = problem.row(i);
-                    float z = 0.0f;
-                    for (std::size_t k = 0; k < n; ++k)
-                        z += model[k] * x[k];
+                    const float z = predict_margin(model, x);
                     const float g =
                         loss_gradient_coefficient(cfg.loss, z, problem.y[i]);
                     if (g == 0.0f) continue;

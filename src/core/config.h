@@ -11,7 +11,6 @@
 
 #include "core/loss.h"
 #include "dmgc/signature.h"
-#include "fixed/quantize.h"
 #include "simd/ops.h"
 
 namespace buckwild::core {

@@ -2,6 +2,7 @@
 
 #include <deque>
 
+#include "core/trainer.h"
 #include "rng/xorshift.h"
 #include "util/logging.h"
 
@@ -28,18 +29,11 @@ train_with_delayed_updates(const dataset::DenseProblem& problem,
 
     DelayedSgdResult result;
     auto eval = [&] {
-        double total = 0.0;
-        std::size_t correct = 0;
-        for (std::size_t i = 0; i < problem.examples; ++i) {
-            float z = 0.0f;
-            const float* x = problem.row(i);
-            for (std::size_t k = 0; k < n; ++k) z += model[k] * x[k];
-            total += loss_value(cfg.loss, z, problem.y[i]);
-            if (loss_correct(cfg.loss, z, problem.y[i])) ++correct;
-        }
-        result.accuracy = static_cast<double>(correct) /
-                          static_cast<double>(problem.examples);
-        return total / static_cast<double>(problem.examples);
+        const Evaluation e = evaluate(cfg.loss, problem.y, [&](std::size_t i) {
+            return predict_margin(model, problem.row(i));
+        });
+        result.accuracy = e.accuracy;
+        return e.loss;
     };
     auto apply = [&](const Pending& p) {
         const float* x = problem.row(p.example);
@@ -60,9 +54,7 @@ train_with_delayed_updates(const dataset::DenseProblem& problem,
                 queue.pop_front();
             }
             // 2. Gradient against the stale model.
-            const float* x = problem.row(i);
-            float z = 0.0f;
-            for (std::size_t k = 0; k < n; ++k) z += model[k] * x[k];
+            const float z = predict_margin(model, problem.row(i));
             const float g =
                 loss_gradient_coefficient(cfg.loss, z, problem.y[i]);
             const float c = -eta * g;

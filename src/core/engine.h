@@ -1,21 +1,30 @@
 /**
  * @file
- * The Buckwild! training engines.
+ * The Buckwild! training engine.
  *
- * DenseEngine<D, M> and SparseEngine<V, I, M> implement asynchronous
- * low-precision SGD over a quantized dataset (rep D / value rep V with
- * index rep I) and a quantized shared model (rep M):
+ * Engine<Data, M> implements asynchronous low-precision SGD over a
+ * quantized dataset, dense rows of rep D (DenseData<D>) or sparse rows of
+ * value rep V with index rep I (SparseData<V, I>), and a quantized shared
+ * model of rep M:
  *
  *  - Each epoch, `threads` Hogwild! workers sweep the dataset without any
  *    locking, sharing the single model array (§2). Workers synchronize
  *    only at epoch boundaries.
  *  - One iteration = one dot (margin), one scalar gradient coefficient,
  *    one AXPY (§2), executed by the kernel implementation selected in the
- *    config (reference / naive / AVX2, §5.1).
+ *    config (reference / naive / AVX2, §5.1). A fixed G term quantizes the
+ *    margin and the coefficient (§3).
  *  - Model writes round with the configured strategy (§5.2): biased,
  *    per-write Mersenne/XORSHIFT, or vectorized shared randomness.
  *  - Mini-batching (§5.4) accumulates B gradients into a per-worker float
  *    scratch vector and applies one quantized model update per batch.
+ *
+ * The loop is written once. The row kind, picked by the dataset type,
+ * supplies only the margin of a row (row_margin) and the model update for
+ * a coefficient (RowUpdate). Per-write rounding and mini-batching are
+ * updates of dense rows; a sparse fit with a fixed-point model refuses
+ * per-write rounding, and every sparse fit refuses mini-batching, before
+ * training.
  *
  * The racing Hogwild! path is the algorithm the paper measures: the model
  * is deliberately accessed without synchronization, and the resulting
@@ -24,10 +33,11 @@
 #ifndef BUCKWILD_CORE_ENGINE_H
 #define BUCKWILD_CORE_ENGINE_H
 
-#include <cmath>
+#include <cstdint>
 #include <cstring>
-#include <memory>
+#include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/config.h"
@@ -170,11 +180,28 @@ struct WorkerRounding
         sync_block();
     }
 
-    /// Called once per AXPY in shared mode.
-    void
-    tick()
+    /// The source of a per-write strategy; nullptr for the strategies
+    /// that round a whole AXPY from one dither block.
+    rng::RandomWordSource*
+    per_write()
     {
+        switch (strategy) {
+          case RoundingStrategy::kMersennePerWrite: return &mersenne;
+          case RoundingStrategy::kXorshiftPerWrite: return &xorshift;
+          default: return nullptr;
+        }
+    }
+
+    /// The dither block of the next (D, M) AXPY: the fixed biased block,
+    /// or the shared block, advanced once per AXPY.
+    template <typename D, typename M>
+    const simd::DitherBlock&
+    next_block()
+    {
+        if (strategy == RoundingStrategy::kBiased)
+            return biased_block<D, M>();
         if (shared.tick()) sync_block();
+        return block;
     }
 
     /// Mirrors the current shared 256-bit block into the kernel view.
@@ -191,15 +218,212 @@ struct WorkerRounding
     rng::XorshiftSource xorshift;
 };
 
-} // namespace detail
+// ------------------------------------------------------------- row kinds
 
-/// Dense Buckwild! engine over DenseData<D> with an M-typed model.
+/// Model coordinates: the width of a dense row, the dimension sparse
+/// indices address.
+template <typename D>
+std::size_t
+model_size(const dataset::DenseData<D>& data)
+{
+    return data.cols();
+}
+
+template <typename V, typename I>
+std::size_t
+model_size(const dataset::SparseData<V, I>& data)
+{
+    return data.dim();
+}
+
+/// Dataset numbers one epoch processes, the numerator of GNPS (§4): every
+/// entry of a dense row, every stored nonzero of a sparse one.
+template <typename D>
+double
+numbers_per_epoch(const dataset::DenseData<D>& data)
+{
+    return static_cast<double>(data.rows()) *
+           static_cast<double>(data.cols());
+}
+
+template <typename V, typename I>
+double
+numbers_per_epoch(const dataset::SparseData<V, I>& data)
+{
+    return static_cast<double>(data.stored_nnz());
+}
+
+/// The margin w.x of row i in real units, for a model of quantum qm.
 template <typename D, typename M>
-class DenseEngine
+float
+row_margin(const dataset::DenseData<D>& data, std::size_t i, const M* w,
+           float qm, simd::Impl impl)
+{
+    return simd::DenseOps<D, M>::dot(impl, data.row(i), w, data.cols(),
+                                     data.quantum(), qm);
+}
+
+template <typename V, typename I, typename M>
+float
+row_margin(const dataset::SparseData<V, I>& data, std::size_t i, const M* w,
+           float qm, simd::Impl impl)
+{
+    const float scale = data.quantum() * qm;
+    if (simd::is_vectorized(impl) &&
+        data.index_mode() == simd::sparse::IndexMode::kAbsolute)
+        return simd::sparse::dot_unrolled(data.row_values(i),
+                                          data.row_indices(i),
+                                          data.row_nnz(i), w, scale);
+    return simd::sparse::dot(data.row_values(i), data.row_indices(i),
+                             data.row_nnz(i), w, scale, data.index_mode());
+}
+
+/// One worker's model update for coefficient c on row i, by row kind.
+/// apply() sees every example of the worker's sweep, zero coefficients
+/// included; finish() ends the sweep. check() refuses, before training,
+/// a config the row kind cannot run.
+template <typename Data, typename M>
+class RowUpdate;
+
+/// Dense rows: the AXPY kernel into the model, a per-write AXPY, or with
+/// B > 1 an AXPY into the worker's float scratch, applied to the model
+/// every B examples.
+template <typename D, typename M>
+class RowUpdate<dataset::DenseData<D>, M>
 {
   public:
-    DenseEngine(const dataset::DenseData<D>& data, const TrainerConfig& cfg)
-        : data_(data), cfg_(cfg), model_(data.cols()),
+    static void check(const TrainerConfig&) {}
+
+    RowUpdate(const dataset::DenseData<D>& data, const TrainerConfig& cfg,
+              M* w, float qm, WorkerRounding& rounding)
+        : data_(data), impl_(cfg.impl), batch_(cfg.batch_size), w_(w),
+          qx_(data.quantum()), qm_(qm), rounding_(rounding)
+    {
+        if (batch_ > 1) scratch_.reset(data.cols());
+    }
+
+    void
+    apply(std::size_t i, float c)
+    {
+        const D* x = data_.row(i);
+        if (batch_ == 1) {
+            if (c != 0.0f) write(x, c, qx_);
+            return;
+        }
+        // Mini-batch gradients are computed against the model as of the
+        // batch start (plus any concurrent updates — this is still
+        // Hogwild!).
+        if (c != 0.0f)
+            simd::DenseOps<D, float>::axpy(impl_, scratch_.data(), x,
+                                           data_.cols(), c, qx_, 1.0f,
+                                           biased_block<D, float>());
+        if (++in_batch_ == batch_) finish();
+    }
+
+    /// Applies (and clears) the scratch of a started mini-batch.
+    void
+    finish()
+    {
+        if (in_batch_ == 0) return;
+        write(scratch_.data(), 1.0f, 1.0f);
+        scratch_.clear();
+        in_batch_ = 0;
+    }
+
+  private:
+    /// w += c x, for a row of D or the float scratch.
+    template <typename X>
+    void
+    write(const X* x, float c, float qx)
+    {
+        const std::size_t n = data_.cols();
+        if (rng::RandomWordSource* source = rounding_.per_write())
+            axpy_per_write<X, M>(w_, x, n, c, qx, qm_, *source);
+        else
+            simd::DenseOps<X, M>::axpy(impl_, w_, x, n, c, qx, qm_,
+                                       rounding_.next_block<X, M>());
+    }
+
+    const dataset::DenseData<D>& data_;
+    simd::Impl impl_;
+    std::size_t batch_;
+    M* w_;
+    float qx_;
+    float qm_;
+    WorkerRounding& rounding_;
+    AlignedBuffer<float> scratch_;
+    std::size_t in_batch_ = 0;
+};
+
+/// Sparse rows: the scatter AXPY of the row's nonzeros, rounded from one
+/// dither block.
+template <typename V, typename I, typename M>
+class RowUpdate<dataset::SparseData<V, I>, M>
+{
+  public:
+    static void
+    check(const TrainerConfig& cfg)
+    {
+        if (cfg.batch_size != 1)
+            fatal("the sparse engine supports batch_size == 1 only "
+                  "(mini-batching is a dense-model optimization, §5.4)");
+        if (!lowp::is_float_rep<M> &&
+            (cfg.rounding == RoundingStrategy::kMersennePerWrite ||
+             cfg.rounding == RoundingStrategy::kXorshiftPerWrite))
+            fatal(std::string("rounding strategy '") +
+                  to_string(cfg.rounding) +
+                  "' draws per model write, which sparse rows do not "
+                  "support on a fixed-point model; use 'biased' or "
+                  "'shared'");
+    }
+
+    RowUpdate(const dataset::SparseData<V, I>& data, const TrainerConfig&,
+              M* w, float qm, WorkerRounding& rounding)
+        : data_(data), w_(w), qv_(data.quantum()), qm_(qm),
+          rounding_(rounding)
+    {}
+
+    void
+    apply(std::size_t i, float c)
+    {
+        if (c == 0.0f) return;
+        // Fixed-value scale in model quanta per raw value unit, and the
+        // float-value coefficient for float/float-model paths.
+        simd::FixedScalar cs{0, simd::kShiftD8M8};
+        if constexpr (!std::is_same_v<M, float> &&
+                      !std::is_same_v<V, float>)
+            cs = pair_scalar<V, M>(c * qv_ / qm_);
+        float cf;
+        if constexpr (std::is_same_v<M, float>)
+            cf = c * qv_; // w += cf * raw value
+        else
+            cf = c / qm_; // used when V is float
+        simd::sparse::axpy(w_, data_.row_values(i), data_.row_indices(i),
+                           data_.row_nnz(i), cs, cf,
+                           rounding_.next_block<V, M>(), data_.index_mode());
+    }
+
+    void finish() {}
+
+  private:
+    const dataset::SparseData<V, I>& data_;
+    M* w_;
+    float qv_;
+    float qm_;
+    WorkerRounding& rounding_;
+};
+
+} // namespace detail
+
+/// Buckwild! engine over the rows of `Data` (DenseData<D> or
+/// SparseData<V, I>) with an M-typed model.
+template <typename Data, typename M>
+class Engine
+{
+  public:
+    Engine(const Data& data, const TrainerConfig& cfg)
+        : data_(data), cfg_(cfg), model_(detail::model_size(data)),
+          qm_(lowp::rep_default_quantum<M>()),
           gradient_bits_(cfg.signature.gradient.has_value() &&
                                  !cfg.signature.gradient->is_float
                              ? cfg.signature.gradient->bits
@@ -209,6 +433,7 @@ class DenseEngine
         if (cfg.batch_size == 0) fatal("batch_size must be >= 1");
         if (gradient_bits_ != 32 && gradient_bits_ < 2)
             fatal("gradient precision must be >= 2 bits");
+        detail::RowUpdate<Data, M>::check(cfg);
     }
 
     /// Runs the configured number of epochs and reports metrics.
@@ -217,239 +442,7 @@ class DenseEngine
     {
         TrainingMetrics metrics;
         metrics.epochs = cfg_.epochs;
-        float eta = cfg_.step_size;
-        for (std::size_t epoch = 0; epoch < cfg_.epochs; ++epoch) {
-            if (cfg_.shuffle) reshuffle(epoch);
-            BUCKWILD_OBS_SPAN("core", "sgd.epoch");
-            Stopwatch watch;
-            run_epoch(eta);
-            const double epoch_seconds = watch.seconds();
-            metrics.train_seconds += epoch_seconds;
-            // Cumulative GNPS inputs for the live conformance watchdog.
-            BUCKWILD_OBS_GAUGE_ADD("train.numbers",
-                                   static_cast<double>(data_.rows()) *
-                                       static_cast<double>(data_.cols()));
-            BUCKWILD_OBS_GAUGE_ADD("train.seconds", epoch_seconds);
-            eta *= cfg_.step_decay;
-            if (cfg_.record_loss_trace)
-                metrics.loss_trace.push_back(average_loss());
-        }
-        metrics.numbers_processed =
-            static_cast<double>(cfg_.epochs) *
-            static_cast<double>(data_.rows()) *
-            static_cast<double>(data_.cols());
-        metrics.final_loss = average_loss();
-        metrics.accuracy = accuracy();
-        return metrics;
-    }
-
-    /// Average training loss under the current model.
-    double
-    average_loss() const
-    {
-        double total = 0.0;
-        for (std::size_t i = 0; i < data_.rows(); ++i)
-            total += loss_value(cfg_.loss, margin(i), data_.label(i));
-        return total / static_cast<double>(data_.rows());
-    }
-
-    /// Training accuracy under the current model.
-    double
-    accuracy() const
-    {
-        std::size_t correct = 0;
-        for (std::size_t i = 0; i < data_.rows(); ++i)
-            if (loss_correct(cfg_.loss, margin(i), data_.label(i)))
-                ++correct;
-        return static_cast<double>(correct) /
-               static_cast<double>(data_.rows());
-    }
-
-    /// Margin w.x of training example i (real units).
-    float
-    margin(std::size_t i) const
-    {
-        return simd::DenseOps<D, M>::dot(cfg_.impl, data_.row(i),
-                                         model_.data(), data_.cols(),
-                                         data_.quantum(),
-                                         lowp::rep_default_quantum<M>());
-    }
-
-    /// The model dequantized to floats.
-    std::vector<float>
-    model_floats() const
-    {
-        std::vector<float> out(model_.size());
-        const float qm = lowp::rep_default_quantum<M>();
-        for (std::size_t k = 0; k < model_.size(); ++k)
-            out[k] = static_cast<float>(model_[k]) * qm;
-        return out;
-    }
-
-  private:
-    void
-    run_epoch(float eta)
-    {
-        run_parallel(cfg_.threads, [this, eta](std::size_t tid) {
-            worker(tid, eta);
-        });
-    }
-
-    /// Fisher-Yates permutation of the example order, fresh per epoch.
-    void
-    reshuffle(std::size_t epoch)
-    {
-        if (order_.empty()) {
-            order_.resize(data_.rows());
-            for (std::size_t i = 0; i < order_.size(); ++i)
-                order_[i] = static_cast<std::uint32_t>(i);
-        }
-        rng::Xorshift128Plus gen(cfg_.seed ^ (0x9E3779B9ull * (epoch + 1)));
-        for (std::size_t i = order_.size(); i > 1; --i)
-            std::swap(order_[i - 1], order_[gen() % i]);
-    }
-
-    /// The example visited at logical position i this epoch.
-    std::size_t
-    example_at(std::size_t i) const
-    {
-        return cfg_.shuffle ? order_[i] : i;
-    }
-
-    /// Chooses the dither block for the next fixed-model AXPY.
-    const simd::DitherBlock&
-    axpy_block(detail::WorkerRounding& rounding)
-    {
-        if (rounding.strategy == RoundingStrategy::kBiased)
-            return detail::biased_block<D, M>();
-        rounding.tick();
-        return rounding.block;
-    }
-
-    void
-    worker(std::size_t tid, float eta)
-    {
-        detail::WorkerRounding rounding(cfg_, tid);
-        const std::size_t n = data_.cols();
-        const float qx = data_.quantum();
-        const float qm = lowp::rep_default_quantum<M>();
-        M* w = model_.data();
-
-        AlignedBuffer<float> scratch;
-        if (cfg_.batch_size > 1) scratch.reset(n);
-
-        std::size_t in_batch = 0;
-        for (std::size_t pos = tid; pos < data_.rows(); pos += cfg_.threads) {
-            const std::size_t i = example_at(pos);
-            const D* x = data_.row(i);
-            float z;
-            if (cfg_.batch_size == 1) {
-                z = simd::DenseOps<D, M>::dot(cfg_.impl, x, w, n, qx, qm);
-            } else {
-                // Mini-batch gradients are computed against the model as
-                // of the batch start (plus any concurrent updates — this
-                // is still Hogwild!).
-                z = simd::DenseOps<D, M>::dot(cfg_.impl, x, w, n, qx, qm);
-            }
-            // G-term: low-precision intermediates (margin + coefficient).
-            z = detail::quantize_intermediate(z, gradient_bits_, 16.0f);
-            float g =
-                loss_gradient_coefficient(cfg_.loss, z, data_.label(i));
-            g = detail::quantize_intermediate(g, gradient_bits_, 2.0f);
-            const float c = -eta * g;
-
-            if (cfg_.batch_size == 1) {
-                if (c != 0.0f) apply_direct(w, x, n, c, qx, qm, rounding);
-            } else {
-                if (c != 0.0f)
-                    simd::DenseOps<D, float>::axpy(
-                        cfg_.impl, scratch.data(), x, n, c, qx, 1.0f,
-                        detail::biased_block<D, float>());
-                if (++in_batch == cfg_.batch_size) {
-                    apply_scratch(w, scratch, n, qm, rounding);
-                    in_batch = 0;
-                }
-            }
-        }
-        if (in_batch > 0) apply_scratch(w, scratch, n, qm, rounding);
-    }
-
-    /// Single-example model update (batch_size == 1 path).
-    void
-    apply_direct(M* w, const D* x, std::size_t n, float c, float qx,
-                 float qm, detail::WorkerRounding& rounding)
-    {
-        switch (rounding.strategy) {
-          case RoundingStrategy::kMersennePerWrite:
-            detail::axpy_per_write<D, M>(w, x, n, c, qx, qm,
-                                         rounding.mersenne);
-            return;
-          case RoundingStrategy::kXorshiftPerWrite:
-            detail::axpy_per_write<D, M>(w, x, n, c, qx, qm,
-                                         rounding.xorshift);
-            return;
-          default:
-            simd::DenseOps<D, M>::axpy(cfg_.impl, w, x, n, c, qx, qm,
-                                       axpy_block(rounding));
-        }
-    }
-
-    /// Applies (and clears) the mini-batch scratch gradient to the model.
-    void
-    apply_scratch(M* w, AlignedBuffer<float>& scratch, std::size_t n,
-                  float qm, detail::WorkerRounding& rounding)
-    {
-        switch (rounding.strategy) {
-          case RoundingStrategy::kMersennePerWrite:
-            detail::axpy_per_write<float, M>(w, scratch.data(), n, 1.0f,
-                                             1.0f, qm, rounding.mersenne);
-            break;
-          case RoundingStrategy::kXorshiftPerWrite:
-            detail::axpy_per_write<float, M>(w, scratch.data(), n, 1.0f,
-                                             1.0f, qm, rounding.xorshift);
-            break;
-          default:
-            if (rounding.strategy == RoundingStrategy::kBiased) {
-                simd::DenseOps<float, M>::axpy(
-                    cfg_.impl, w, scratch.data(), n, 1.0f, 1.0f, qm,
-                    detail::biased_block<float, M>());
-            } else {
-                rounding.tick();
-                simd::DenseOps<float, M>::axpy(cfg_.impl, w, scratch.data(),
-                                               n, 1.0f, 1.0f, qm,
-                                               rounding.block);
-            }
-        }
-        scratch.clear();
-    }
-
-    const dataset::DenseData<D>& data_;
-    TrainerConfig cfg_;
-    AlignedBuffer<M> model_;
-    std::vector<std::uint32_t> order_;
-    int gradient_bits_;
-};
-
-/// Sparse Buckwild! engine over SparseData<V, I> with an M-typed model.
-template <typename V, typename I, typename M>
-class SparseEngine
-{
-  public:
-    SparseEngine(const dataset::SparseData<V, I>& data,
-                 const TrainerConfig& cfg)
-        : data_(data), cfg_(cfg), model_(data.dim())
-    {
-        if (cfg.threads == 0) fatal("threads must be >= 1");
-        if (cfg.batch_size != 1)
-            fatal("the sparse engine supports batch_size == 1 only "
-                  "(mini-batching is a dense-model optimization, §5.4)");
-    }
-
-    TrainingMetrics
-    train()
-    {
-        TrainingMetrics metrics;
-        metrics.epochs = cfg_.epochs;
+        const double numbers = detail::numbers_per_epoch(data_);
         float eta = cfg_.step_size;
         for (std::size_t epoch = 0; epoch < cfg_.epochs; ++epoch) {
             if (cfg_.shuffle) reshuffle(epoch);
@@ -460,114 +453,44 @@ class SparseEngine
             });
             const double epoch_seconds = watch.seconds();
             metrics.train_seconds += epoch_seconds;
-            // Cumulative GNPS inputs for the live conformance watchdog
-            // (sparse: a number is a stored nonzero).
-            BUCKWILD_OBS_GAUGE_ADD(
-                "train.numbers", static_cast<double>(data_.stored_nnz()));
+            // Cumulative GNPS inputs for the live conformance watchdog.
+            BUCKWILD_OBS_GAUGE_ADD("train.numbers", numbers);
             BUCKWILD_OBS_GAUGE_ADD("train.seconds", epoch_seconds);
             eta *= cfg_.step_decay;
             if (cfg_.record_loss_trace)
-                metrics.loss_trace.push_back(average_loss());
+                metrics.loss_trace.push_back(evaluate().loss);
         }
         metrics.numbers_processed =
-            static_cast<double>(cfg_.epochs) *
-            static_cast<double>(data_.stored_nnz());
-        metrics.final_loss = average_loss();
-        metrics.accuracy = accuracy();
+            static_cast<double>(cfg_.epochs) * numbers;
+        const Evaluation last = evaluate();
+        metrics.final_loss = last.loss;
+        metrics.accuracy = last.accuracy;
         return metrics;
     }
 
-    double
-    average_loss() const
+    /// Average training loss and accuracy under the current model.
+    Evaluation
+    evaluate() const
     {
-        double total = 0.0;
-        for (std::size_t i = 0; i < data_.rows(); ++i)
-            total += loss_value(cfg_.loss, margin(i), data_.label(i));
-        return total / static_cast<double>(data_.rows());
+        return core::evaluate(cfg_.loss, data_.labels(),
+                              [this](std::size_t i) { return margin(i); });
     }
 
-    double
-    accuracy() const
-    {
-        std::size_t correct = 0;
-        for (std::size_t i = 0; i < data_.rows(); ++i)
-            if (loss_correct(cfg_.loss, margin(i), data_.label(i)))
-                ++correct;
-        return static_cast<double>(correct) /
-               static_cast<double>(data_.rows());
-    }
-
-    float
-    margin(std::size_t i) const
-    {
-        const float scale = dot_scale();
-        if (simd::is_vectorized(cfg_.impl) &&
-            data_.index_mode() == simd::sparse::IndexMode::kAbsolute) {
-            return simd::sparse::dot_unrolled(
-                data_.row_values(i), data_.row_indices(i), data_.row_nnz(i),
-                model_.data(), scale);
-        }
-        return simd::sparse::dot(data_.row_values(i), data_.row_indices(i),
-                                 data_.row_nnz(i), model_.data(), scale,
-                                 data_.index_mode());
-    }
-
+    /// The model dequantized to floats.
     std::vector<float>
     model_floats() const
     {
         std::vector<float> out(model_.size());
-        const float qm = lowp::rep_default_quantum<M>();
         for (std::size_t k = 0; k < model_.size(); ++k)
-            out[k] = static_cast<float>(model_[k]) * qm;
+            out[k] = static_cast<float>(model_[k]) * qm_;
         return out;
     }
 
   private:
-    /// dot() scale: product of value and model quanta (either may be 1).
     float
-    dot_scale() const
+    margin(std::size_t i) const
     {
-        return data_.quantum() * lowp::rep_default_quantum<M>();
-    }
-
-    void
-    worker(std::size_t tid, float eta)
-    {
-        detail::WorkerRounding rounding(cfg_, tid);
-        const float qv = data_.quantum();
-        const float qm = lowp::rep_default_quantum<M>();
-        M* w = model_.data();
-
-        for (std::size_t pos = tid; pos < data_.rows();
-             pos += cfg_.threads) {
-            const std::size_t i =
-                cfg_.shuffle ? order_[pos] : pos;
-            const float z = margin(i);
-            const float g =
-                loss_gradient_coefficient(cfg_.loss, z, data_.label(i));
-            const float c = -eta * g;
-            if (c == 0.0f) continue;
-
-            // Fixed-value scale in model quanta per raw value unit, and
-            // the float-value coefficient for float/float-model paths.
-            simd::FixedScalar cs{0, simd::kShiftD8M8};
-            if constexpr (!std::is_same_v<M, float> &&
-                          !std::is_same_v<V, float>)
-                cs = detail::pair_scalar<V, M>(c * qv / qm);
-            float cf;
-            if constexpr (std::is_same_v<M, float>)
-                cf = c * qv; // w += cf * raw value
-            else
-                cf = c / qm; // used when V is float
-
-            const simd::DitherBlock& block =
-                (rounding.strategy == RoundingStrategy::kBiased)
-                    ? detail::biased_block<V, M>()
-                    : (rounding.tick(), rounding.block);
-            simd::sparse::axpy(w, data_.row_values(i), data_.row_indices(i),
-                               data_.row_nnz(i), cs, cf, block,
-                               data_.index_mode());
-        }
+        return detail::row_margin(data_, i, model_.data(), qm_, cfg_.impl);
     }
 
     /// Fisher-Yates permutation of the example order, fresh per epoch.
@@ -584,11 +507,37 @@ class SparseEngine
             std::swap(order_[i - 1], order_[gen() % i]);
     }
 
-    const dataset::SparseData<V, I>& data_;
+    void
+    worker(std::size_t tid, float eta)
+    {
+        detail::WorkerRounding rounding(cfg_, tid);
+        detail::RowUpdate<Data, M> update(data_, cfg_, model_.data(), qm_,
+                                          rounding);
+        for (std::size_t pos = tid; pos < data_.rows();
+             pos += cfg_.threads) {
+            const std::size_t i = cfg_.shuffle ? order_[pos] : pos;
+            // G term: low-precision intermediates (margin + coefficient).
+            const float z =
+                detail::quantize_intermediate(margin(i), gradient_bits_, 16.0f);
+            const float g = detail::quantize_intermediate(
+                loss_gradient_coefficient(cfg_.loss, z, data_.label(i)),
+                gradient_bits_, 2.0f);
+            update.apply(i, -eta * g);
+        }
+        update.finish();
+    }
+
+    const Data& data_;
     TrainerConfig cfg_;
     AlignedBuffer<M> model_;
+    float qm_; ///< real value of one model raw unit
     std::vector<std::uint32_t> order_;
+    int gradient_bits_;
 };
+
+/// The dense engine, as benches build it from DenseData<D>.
+template <typename D, typename M>
+using DenseEngine = Engine<dataset::DenseData<D>, M>;
 
 } // namespace buckwild::core
 

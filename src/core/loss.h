@@ -17,6 +17,8 @@
 #ifndef BUCKWILD_CORE_LOSS_H
 #define BUCKWILD_CORE_LOSS_H
 
+#include <cstddef>
+#include <span>
 #include <string>
 
 namespace buckwild::core {
@@ -43,6 +45,31 @@ float loss_gradient_coefficient(Loss loss, float z, float y);
 /// True if the example is classified correctly (sign agreement); for
 /// squared loss, true if |z - y| < 0.5.
 bool loss_correct(Loss loss, float z, float y);
+
+/// Average loss and accuracy of a model over a set of examples.
+struct Evaluation
+{
+    double loss = 0.0;
+    double accuracy = 0.0; ///< in [0, 1]
+};
+
+/// Scores a model in one pass over the examples labelled `labels`;
+/// `margin(i)` is the model's margin w.x on example i. Every trainer and
+/// emulator scores its model through here.
+template <typename Margin>
+Evaluation
+evaluate(Loss loss, std::span<const float> labels, Margin&& margin)
+{
+    double total = 0.0;
+    std::size_t correct = 0;
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+        const float z = margin(i);
+        total += loss_value(loss, z, labels[i]);
+        if (loss_correct(loss, z, labels[i])) ++correct;
+    }
+    const double n = static_cast<double>(labels.size());
+    return {total / n, static_cast<double>(correct) / n};
+}
 
 } // namespace buckwild::core
 

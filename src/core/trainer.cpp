@@ -23,8 +23,8 @@ to_string(RoundingStrategy strategy)
 
 namespace {
 
-/// Adapts a concrete engine (and its owned dataset copy) to IEngine.
-template <typename Engine, typename Data>
+/// Adapts an engine (and its owned dataset copy) to IEngine.
+template <typename Data, typename M>
 class EngineAdapter final : public IEngine
 {
   public:
@@ -33,8 +33,7 @@ class EngineAdapter final : public IEngine
     {}
 
     TrainingMetrics train() override { return engine_.train(); }
-    double average_loss() const override { return engine_.average_loss(); }
-    double accuracy() const override { return engine_.accuracy(); }
+    Evaluation evaluate() const override { return engine_.evaluate(); }
     std::vector<float>
     model_floats() const override
     {
@@ -43,51 +42,21 @@ class EngineAdapter final : public IEngine
 
   private:
     std::shared_ptr<Data> data_;
-    Engine engine_;
+    Engine<Data, M> engine_;
 };
 
-/// Builds a dense engine for the signature's (D, M) rep widths via the
-/// substrate's signature-driven dispatch (lowp::with_value_rep replaces
-/// the per-letter switch pyramid this file used to carry).
+/// Builds the engine over `data` for the signature's model rep width via
+/// the substrate's signature-driven dispatch.
+template <typename Data>
 std::unique_ptr<IEngine>
-make_dense(const dataset::DenseProblem& problem, const TrainerConfig& cfg,
-           int data_width, int model_width)
+make_engine(std::shared_ptr<Data> data, const TrainerConfig& cfg,
+            int model_width)
 {
-    return lowp::with_value_rep(data_width, [&](auto d) {
-        using D = typename decltype(d)::type;
-        auto data = std::make_shared<dataset::DenseData<D>>(
-            problem, lowp::rep_default_format<D>());
-        return lowp::with_value_rep(
-            model_width, [&](auto m) -> std::unique_ptr<IEngine> {
-                using M = typename decltype(m)::type;
-                return std::make_unique<EngineAdapter<
-                    DenseEngine<D, M>, dataset::DenseData<D>>>(data, cfg);
-            });
-    });
-}
-
-/// Builds a sparse engine for the signature's (V, i, M) rep widths.
-std::unique_ptr<IEngine>
-make_sparse(const dataset::SparseProblem& problem, const TrainerConfig& cfg,
-            int data_width, int index_bits, int model_width)
-{
-    return lowp::with_value_rep(data_width, [&](auto v) {
-        using V = typename decltype(v)::type;
-        return lowp::with_index_rep(
-            index_bits, [&](auto ix) -> std::unique_ptr<IEngine> {
-                using I = typename decltype(ix)::type;
-                auto data = std::make_shared<dataset::SparseData<V, I>>(
-                    problem, lowp::rep_default_format<V>());
-                return lowp::with_value_rep(
-                    model_width, [&](auto m) -> std::unique_ptr<IEngine> {
-                        using M = typename decltype(m)::type;
-                        return std::make_unique<
-                            EngineAdapter<SparseEngine<V, I, M>,
-                                          dataset::SparseData<V, I>>>(data,
-                                                                      cfg);
-                    });
-            });
-    });
+    return lowp::with_value_rep(
+        model_width, [&](auto m) -> std::unique_ptr<IEngine> {
+            using M = typename decltype(m)::type;
+            return std::make_unique<EngineAdapter<Data, M>>(data, cfg);
+        });
 }
 
 } // namespace
@@ -103,7 +72,12 @@ Trainer::fit(const dataset::DenseProblem& problem)
     const int d = lowp::checked_rep_width(config_.signature.dataset,
                                           "dataset");
     const int m = lowp::checked_rep_width(config_.signature.model, "model");
-    engine_ = make_dense(problem, config_, d, m);
+    engine_ = lowp::with_value_rep(d, [&](auto rep) {
+        using D = typename decltype(rep)::type;
+        return make_engine(std::make_shared<dataset::DenseData<D>>(
+                               problem, lowp::rep_default_format<D>()),
+                           config_, m);
+    });
     return engine_->train();
 }
 
@@ -117,7 +91,15 @@ Trainer::fit(const dataset::SparseProblem& problem)
                                           "dataset");
     const int m = lowp::checked_rep_width(config_.signature.model, "model");
     const int i = config_.signature.index_bits.value_or(32);
-    engine_ = make_sparse(problem, config_, d, i, m);
+    engine_ = lowp::with_value_rep(d, [&](auto v) {
+        using V = typename decltype(v)::type;
+        return lowp::with_index_rep(i, [&](auto ix) {
+            using I = typename decltype(ix)::type;
+            return make_engine(std::make_shared<dataset::SparseData<V, I>>(
+                                   problem, lowp::rep_default_format<V>()),
+                               config_, m);
+        });
+    });
     return engine_->train();
 }
 
@@ -132,14 +114,14 @@ double
 Trainer::loss() const
 {
     if (!engine_) panic("Trainer::loss() called before fit()");
-    return engine_->average_loss();
+    return engine_->evaluate().loss;
 }
 
 double
 Trainer::accuracy() const
 {
     if (!engine_) panic("Trainer::accuracy() called before fit()");
-    return engine_->accuracy();
+    return engine_->evaluate().accuracy;
 }
 
 float

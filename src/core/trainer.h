@@ -24,19 +24,19 @@
 #include <vector>
 
 #include "core/config.h"
+#include "core/loss.h"
 #include "core/metrics.h"
 #include "dataset/problem.h"
 
 namespace buckwild::core {
 
-/// Type-erased engine interface (see engine.h for the implementations).
+/// Type-erased engine interface (see engine.h for the implementation).
 class IEngine
 {
   public:
     virtual ~IEngine() = default;
     virtual TrainingMetrics train() = 0;
-    virtual double average_loss() const = 0;
-    virtual double accuracy() const = 0;
+    virtual Evaluation evaluate() const = 0;
     virtual std::vector<float> model_floats() const = 0;
 };
 
@@ -51,7 +51,9 @@ class Trainer
     TrainingMetrics fit(const dataset::DenseProblem& problem);
 
     /// Sparse counterpart: the signature must be sparse; its index
-    /// precision selects the stored index type (8/16/32 bits).
+    /// precision selects the stored index type (8/16/32 bits). Throws
+    /// std::runtime_error before training for a mini-batch, or for
+    /// per-write rounding of a fixed-point model.
     TrainingMetrics fit(const dataset::SparseProblem& problem);
 
     /// The trained model, dequantized to floats. Empty before fit().

@@ -64,6 +64,7 @@ class DenseData
 
     const D* row(std::size_t i) const { return values_.data() + i * cols_; }
     float label(std::size_t i) const { return labels_[i]; }
+    const std::vector<float>& labels() const { return labels_; }
 
     /// Bytes of dataset storage (the DRAM-traffic figure of merit).
     std::size_t bytes() const { return values_.size() * sizeof(D); }
@@ -145,6 +146,7 @@ class SparseData
         return indices_.data() + row_ptr_[i];
     }
     float label(std::size_t i) const { return labels_[i]; }
+    const std::vector<float>& labels() const { return labels_; }
 
     /// Total stored entries including padding.
     std::size_t stored_nnz() const { return values_.size(); }

@@ -305,19 +305,14 @@ evaluate_model(const Problem& problem, core::Loss loss,
                const std::vector<float>& model, double* out_loss,
                double* out_accuracy)
 {
-    const std::size_t examples = detail::example_count(problem);
     const simd::Impl impl = simd::best_impl();
-    double total = 0.0;
-    std::size_t correct = 0;
-    for (std::size_t i = 0; i < examples; ++i) {
-        const float z =
-            detail::row_dot(impl, detail::row(problem, i), model.data());
-        total += core::loss_value(loss, z, problem.y[i]);
-        if (core::loss_correct(loss, z, problem.y[i])) ++correct;
-    }
-    *out_loss = total / static_cast<double>(examples);
-    *out_accuracy =
-        static_cast<double>(correct) / static_cast<double>(examples);
+    const core::Evaluation e =
+        core::evaluate(loss, problem.y, [&](std::size_t i) {
+            return detail::row_dot(impl, detail::row(problem, i),
+                                   model.data());
+        });
+    *out_loss = e.loss;
+    *out_accuracy = e.accuracy;
 }
 
 core::SavedModel

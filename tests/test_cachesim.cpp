@@ -11,6 +11,7 @@
 #include "cachesim/sgd_trace.h"
 #include "cachesim/stale_sgd.h"
 #include "dataset/problem.h"
+#include "test_common.h"
 
 namespace buckwild::cachesim {
 namespace {
@@ -453,6 +454,27 @@ TEST(StaleSgd, RejectsBadParameters)
     cfg.workers = 2;
     cfg.obstinacy = 1.5;
     EXPECT_THROW(train_with_stale_reads(p, cfg), std::runtime_error);
+}
+
+TEST(StaleSgd, LossTraceMatchesGolden)
+{
+    // FNV-1a of the loss trace, final loss, accuracy and line counts: a
+    // change that moves one bit of the emulation fails this by design.
+    // Power-of-two features keep every product exact, so the hash does
+    // not depend on FMA contraction.
+    const auto p = testutil::power_of_two_dense_problem(48, 600, 80);
+    StaleSgdConfig cfg;
+    cfg.workers = 4;
+    cfg.obstinacy = 0.5;
+    cfg.epochs = 4;
+    const auto r = train_with_stale_reads(p, cfg);
+    testutil::Fnv1a hash;
+    hash.add(r.loss_trace);
+    hash.add(r.final_loss);
+    hash.add(r.accuracy);
+    hash.add(r.stale_line_reads);
+    hash.add(r.refreshes);
+    EXPECT_EQ(hash.value, 0x54008909b8f98323ull) << "0x" << std::hex << hash.value;
 }
 
 } // namespace

@@ -11,8 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -21,6 +24,7 @@
 #include "dataset/digits.h"
 #include "dataset/problem.h"
 #include "dmgc/signature.h"
+#include "rng/xorshift.h"
 
 namespace buckwild::testutil {
 
@@ -86,6 +90,72 @@ densify(const dataset::SparseProblem& sparse)
     return dense;
 }
 
+/// 0 (a third of the time) or a signed power of two in
+/// [2^low, 2^(low + 3)]. When every feature has this form, each product a
+/// trainer forms with one (w * x, c * x) is exact, so a run computes the
+/// same bits whether or not the compiler fuses a product and a sum into
+/// one FMA, which it does where the build passes -mfma.
+inline float
+power_of_two_feature(rng::Xorshift128Plus& rng, int low = -2)
+{
+    const std::uint64_t r = rng();
+    if (r % 3 == 0) return 0.0f;
+    const float magnitude =
+        std::ldexp(1.0f, static_cast<int>((r >> 8) % 4) + low);
+    return ((r >> 16) & 1u) != 0 ? -magnitude : magnitude;
+}
+
+/// Rows of power_of_two_feature()s, each labelled by the sign of its
+/// margin under a truth of the same form.
+inline dataset::DenseProblem
+power_of_two_dense_problem(std::size_t dim, std::size_t examples,
+                           std::uint64_t seed, int low = -2)
+{
+    rng::Xorshift128Plus rng(seed);
+    dataset::DenseProblem p;
+    p.dim = dim;
+    p.examples = examples;
+    std::vector<float> truth(p.dim);
+    for (float& t : truth) t = power_of_two_feature(rng, low);
+    for (std::size_t i = 0; i < p.examples; ++i) {
+        float margin = 0.0f;
+        for (std::size_t k = 0; k < p.dim; ++k) {
+            p.x.push_back(power_of_two_feature(rng, low));
+            margin += p.x.back() * truth[k];
+        }
+        p.y.push_back(margin >= 0.0f ? 1.0f : -1.0f);
+    }
+    return p;
+}
+
+/// The sparse counterpart: each nonzero feature is kept one time in
+/// `keep_one_in`.
+inline dataset::SparseProblem
+power_of_two_sparse_problem(std::size_t dim, std::size_t examples,
+                            std::uint64_t seed, unsigned keep_one_in,
+                            int low = -2)
+{
+    rng::Xorshift128Plus rng(seed);
+    dataset::SparseProblem p;
+    p.dim = dim;
+    std::vector<float> truth(p.dim);
+    for (float& t : truth) t = power_of_two_feature(rng, low);
+    for (std::size_t i = 0; i < examples; ++i) {
+        dataset::SparseRow row;
+        float margin = 0.0f;
+        for (std::uint32_t k = 0; k < p.dim; ++k) {
+            const float x = power_of_two_feature(rng, low);
+            if (x == 0.0f || rng() % keep_one_in != 0) continue;
+            row.index.push_back(k);
+            row.value.push_back(x);
+            margin += x * truth[k];
+        }
+        p.rows.push_back(std::move(row));
+        p.y.push_back(margin >= 0.0f ? 1.0f : -1.0f);
+    }
+    return p;
+}
+
 /// Synthetic digits as a binary DenseProblem (digit >= 5 labeled +1) —
 /// the conversion test_serve and the serving CLI both use.
 inline dataset::DenseProblem
@@ -127,6 +197,36 @@ expect_all_eq(const ActualSeq& actual, const ExpectedSeq& expected,
     for (std::size_t i = 0; i < actual.size(); ++i)
         EXPECT_EQ(actual[i], expected[i]) << what << "[" << i << "]";
 }
+
+/// FNV-1a 64 over the bytes of a run's outputs, for goldens that pin
+/// what a trainer computes bit for bit.
+struct Fnv1a
+{
+    std::uint64_t value = 0xcbf29ce484222325ull;
+
+    void
+    add_bytes(const void* data, std::size_t n)
+    {
+        const auto* bytes = static_cast<const unsigned char*>(data);
+        for (std::size_t i = 0; i < n; ++i)
+            value = (value ^ bytes[i]) * 0x100000001b3ull;
+    }
+
+    template <typename T>
+    void
+    add(const T& x)
+    {
+        static_assert(std::is_trivially_copyable_v<T>);
+        add_bytes(&x, sizeof x);
+    }
+
+    template <typename T>
+    void
+    add(const std::vector<T>& xs)
+    {
+        add_bytes(xs.data(), xs.size() * sizeof(T));
+    }
+};
 
 /// A uniquely named file under gtest's temp directory, removed on scope
 /// exit. Use `.path()` as the file name; the file itself is created (or

@@ -14,8 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "buckwild/buckwild.h"
+#include "test_common.h"
 
 namespace buckwild::core {
 namespace {
@@ -225,6 +227,34 @@ TEST(Rounding, AllUnbiasedStrategiesConvergeSimilarly)
     EXPECT_LT(losses[2], 0.50);
 }
 
+TEST(Rounding, SparsePerWriteRoundingNeedsAFloatModel)
+{
+    // Sparse rows round a fixed-point model from one dither block per
+    // AXPY; a per-write strategy is refused, naming it, not swapped for
+    // the shared block. A float model has nothing to round.
+    TrainerConfig cfg = base_config();
+    cfg.epochs = 2;
+    for (const RoundingStrategy strategy :
+         {RoundingStrategy::kMersennePerWrite,
+          RoundingStrategy::kXorshiftPerWrite}) {
+        cfg.rounding = strategy;
+        cfg.signature = dmgc::parse_signature("D8i16M8");
+        Trainer fixed_model(cfg);
+        try {
+            fixed_model.fit(sparse_problem());
+            ADD_FAILURE() << to_string(strategy) << " was not refused";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(to_string(strategy)),
+                      std::string::npos)
+                << e.what();
+        }
+        cfg.signature = dmgc::parse_signature("D32fi32M32f");
+        Trainer float_model(cfg);
+        EXPECT_LT(float_model.fit(sparse_problem()).final_loss, 0.69)
+            << to_string(strategy);
+    }
+}
+
 TEST(Rounding, SharedRefreshPeriodTradesOff)
 {
     // Refreshing the shared draw less often must still converge (it stays
@@ -323,6 +353,20 @@ TEST(GradientPrecision, FloatGTermIsIgnored)
     Trainer b(cfg);
     const auto mb = b.fit(dense_problem());
     EXPECT_EQ(ma.final_loss, mb.final_loss);
+}
+
+TEST(GradientPrecision, SparseRowsHonourTheGTerm)
+{
+    TrainerConfig cfg = base_config();
+    cfg.epochs = 4;
+    cfg.signature = dmgc::parse_signature("D8i16M8G4");
+    Trainer g4(cfg);
+    const auto mg = g4.fit(sparse_problem());
+    cfg.signature = dmgc::parse_signature("D8i16M8");
+    Trainer full(cfg);
+    const auto mf = full.fit(sparse_problem());
+    EXPECT_NE(mg.loss_trace, mf.loss_trace)
+        << "4-bit intermediates must change what a sparse fit computes";
 }
 
 TEST(GradientPrecision, RejectsDegenerateWidth)
@@ -482,6 +526,138 @@ TEST(TrainerApi, DeterministicGivenSeedSingleThread)
     const auto mb = b.fit(dense_problem());
     EXPECT_EQ(ma.final_loss, mb.final_loss);
     EXPECT_EQ(a.model(), b.model());
+}
+
+// --------------------------------------------------------------- goldens
+//
+// Each golden is the FNV-1a hash of what small single-threaded fits at
+// the reference kernels compute: the final model, the per-epoch loss
+// trace, the final loss and accuracy, and the numbers processed. An
+// engine change that moves one bit of a fit fails these by design.
+// Features are 0 or powers of two in [1/8, 1], which every data format
+// holds exactly, so the hashes do not depend on FMA contraction.
+
+template <typename Problem>
+std::uint64_t
+fit_hash(const Problem& problem, const TrainerConfig& cfg)
+{
+    Trainer trainer(cfg);
+    const TrainingMetrics m = trainer.fit(problem);
+    testutil::Fnv1a hash;
+    hash.add(trainer.model());
+    hash.add(m.loss_trace);
+    hash.add(m.final_loss);
+    hash.add(m.accuracy);
+    hash.add(m.numbers_processed);
+    return hash.value;
+}
+
+TrainerConfig
+golden_config(const char* signature, RoundingStrategy rounding)
+{
+    TrainerConfig cfg;
+    cfg.signature = dmgc::parse_signature(signature);
+    cfg.rounding = rounding;
+    cfg.impl = simd::Impl::kReference;
+    cfg.threads = 1;
+    cfg.epochs = 3;
+    cfg.step_size = 0.15f;
+    cfg.step_decay = 0.9f;
+    cfg.seed = 2017;
+    return cfg;
+}
+
+struct FitGolden
+{
+    const char* signature;
+    RoundingStrategy rounding;
+    std::uint64_t hash;
+};
+
+TEST(EngineGolden, DenseFitsMatchGoldens)
+{
+    // One hash per row covers batch sizes 1 and 4, each in dataset order
+    // and shuffled.
+    const auto problem =
+        testutil::power_of_two_dense_problem(40, 256, 9001, -3);
+    constexpr RoundingStrategy kB = RoundingStrategy::kBiased;
+    constexpr RoundingStrategy kM = RoundingStrategy::kMersennePerWrite;
+    constexpr RoundingStrategy kX = RoundingStrategy::kXorshiftPerWrite;
+    constexpr RoundingStrategy kS = RoundingStrategy::kSharedXorshift;
+    const FitGolden goldens[] = {
+        {"D8M8", kB, 0x675063451e8690c2ull},
+        {"D8M8", kM, 0x6a53251036bc4c4cull},
+        {"D8M8", kX, 0x7e9212baf6f8971cull},
+        {"D8M8", kS, 0x604ead95dc1370d6ull},
+        {"D8M16", kB, 0xbd82f197b383a3b3ull},
+        {"D8M16", kM, 0xef171e3df2ae9f58ull},
+        {"D8M16", kX, 0x2659524fe33e12b8ull},
+        {"D8M16", kS, 0xf6f27d691c00b193ull},
+        {"D16M8", kB, 0x93a7c447763768b5ull},
+        {"D16M8", kM, 0x267b8fc0352db8fbull},
+        {"D16M8", kX, 0x7fffe48f63282047ull},
+        {"D16M8", kS, 0x23c89e557a544f41ull},
+        {"D16M16", kB, 0xd612ba346015a227ull},
+        {"D16M16", kM, 0xae8bdd8ab0657657ull},
+        {"D16M16", kX, 0x9c49710eadd28680ull},
+        {"D16M16", kS, 0x3d0f9103a4c3a913ull},
+        {"D32fM32f", kB, 0x8c30e707e3f635e2ull},
+        {"D32fM32f", kM, 0x8c30e707e3f635e2ull},
+        {"D32fM32f", kX, 0x8c30e707e3f635e2ull},
+        {"D32fM32f", kS, 0x8c30e707e3f635e2ull},
+        {"D8M8G10", kB, 0xfb275e71bf14e8e2ull},
+        {"D8M8G10", kM, 0x6449c891877693d0ull},
+        {"D8M8G10", kX, 0x4b3d17076ec8920dull},
+        {"D8M8G10", kS, 0x1fe69867114144a9ull},
+    };
+    for (const FitGolden& golden : goldens) {
+        testutil::Fnv1a hash;
+        for (const std::size_t batch : {1, 4})
+            for (const bool shuffle : {false, true}) {
+                TrainerConfig cfg =
+                    golden_config(golden.signature, golden.rounding);
+                cfg.batch_size = batch;
+                cfg.shuffle = shuffle;
+                hash.add(fit_hash(problem, cfg));
+            }
+        EXPECT_EQ(hash.value, golden.hash)
+            << golden.signature << " " << to_string(golden.rounding)
+            << ": 0x" << std::hex << hash.value;
+    }
+}
+
+TEST(EngineGolden, SparseFitsMatchGoldens)
+{
+    // About 1% dense over 2000 coordinates: 8-bit indices cannot address
+    // them, so they run delta-encoded, padded across gaps over 255; wider
+    // ones run absolute. One hash per row covers dataset order and
+    // shuffled.
+    const auto problem =
+        testutil::power_of_two_sparse_problem(2000, 256, 9002, 64, -3);
+    constexpr RoundingStrategy kB = RoundingStrategy::kBiased;
+    constexpr RoundingStrategy kS = RoundingStrategy::kSharedXorshift;
+    const FitGolden goldens[] = {
+        {"D8i8M8", kB, 0x7e0f9b2101b2487cull},
+        {"D8i8M8", kS, 0x2ab5c373864f5b7eull},
+        {"D8i16M8", kB, 0xa7ddaab6392111aaull},
+        {"D8i16M8", kS, 0x3d7ee4b494e3da94ull},
+        {"D16i32M16", kB, 0xfe517bddf58b5278ull},
+        {"D16i32M16", kS, 0xea0e4761b4968d0bull},
+        {"D32fi32M32f", kB, 0xb17dabd3cc3c24aeull},
+        {"D32fi32M32f", kS, 0xb17dabd3cc3c24aeull},
+    };
+    for (const FitGolden& golden : goldens) {
+        testutil::Fnv1a hash;
+        for (const bool shuffle : {false, true}) {
+            TrainerConfig cfg =
+                golden_config(golden.signature, golden.rounding);
+            cfg.shuffle = shuffle;
+            hash.add(fit_hash(problem, cfg));
+        }
+        EXPECT_EQ(hash.value, golden.hash)
+            << golden.signature << " " << to_string(golden.rounding)
+            << ": 0x" << std::hex << hash.value;
+    }
 }
 
 } // namespace

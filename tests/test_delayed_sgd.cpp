@@ -8,6 +8,7 @@
 
 #include "core/delayed_sgd.h"
 #include "dataset/problem.h"
+#include "test_common.h"
 
 namespace buckwild::core {
 namespace {
@@ -88,6 +89,25 @@ TEST(DelayedSgd, AverageDelayMatchesConfiguredRange)
     const auto r = train_with_delayed_updates(problem(), cfg);
     // Delays are U{1..100}: mean ~ 50.5.
     EXPECT_NEAR(r.average_delay, 50.5, 3.0);
+}
+
+TEST(DelayedSgd, LossTraceMatchesGolden)
+{
+    // FNV-1a of the loss trace, final loss, accuracy and realized delay:
+    // a change that moves one bit of the emulation fails this by design.
+    // Power-of-two features keep every product exact, so the hash does
+    // not depend on FMA contraction.
+    const auto p = testutil::power_of_two_dense_problem(48, 600, 655);
+    DelayedSgdConfig cfg = base();
+    cfg.max_delay = 8;
+    cfg.epochs = 4;
+    const auto r = train_with_delayed_updates(p, cfg);
+    testutil::Fnv1a hash;
+    hash.add(r.loss_trace);
+    hash.add(r.final_loss);
+    hash.add(r.accuracy);
+    hash.add(r.average_delay);
+    EXPECT_EQ(hash.value, 0xbeebee0594c3283cull) << "0x" << std::hex << hash.value;
 }
 
 } // namespace

@@ -17,7 +17,8 @@
 
 #include "fixed/fixed_point.h"
 #include "fixed/nibble.h"
-#include "fixed/quantize.h"
+#include "lowp/grid.h"
+#include "lowp/round.h"
 #include "rng/random_source.h"
 #include "test_common.h"
 
@@ -48,51 +49,56 @@ TEST(FixedFormat, DefaultFormatsCoverUnitRangeWithHeadroom)
     EXPECT_FALSE(is_supported_width(12));
 }
 
+// The quantizers are the substrate's (src/lowp/) on a fixed format's
+// grid: asymmetric two's-complement saturation, as the hardware's
+// pack-with-saturation instructions give.
+
 TEST(BiasedQuantize, RoundsToNearest)
 {
-    const FixedFormat f{8, 6}; // quantum 1/64
-    EXPECT_EQ(quantize_biased_raw(0.0, f), 0);
-    EXPECT_EQ(quantize_biased_raw(1.0, f), 64);
-    EXPECT_EQ(quantize_biased_raw(1.0 / 128.0 - 1e-9, f), 0);  // just below .5
-    EXPECT_EQ(quantize_biased_raw(1.5 / 64.0, f), 2);          // ties away: lround
-    EXPECT_EQ(quantize_biased_raw(-1.0, f), -64);
+    const auto g = lowp::GridSpec::from_fixed({8, 6}); // quantum 1/64
+    EXPECT_EQ(lowp::round_biased_raw(0.0, g), 0);
+    EXPECT_EQ(lowp::round_biased_raw(1.0, g), 64);
+    EXPECT_EQ(lowp::round_biased_raw(1.0 / 128.0 - 1e-9, g), 0); // below .5
+    EXPECT_EQ(lowp::round_biased_raw(1.5 / 64.0, g), 2); // ties away: lround
+    EXPECT_EQ(lowp::round_biased_raw(-1.0, g), -64);
 }
 
 TEST(BiasedQuantize, SaturatesAtFormatBounds)
 {
-    const FixedFormat f{8, 6};
-    EXPECT_EQ(quantize_biased_raw(100.0, f), 127);
-    EXPECT_EQ(quantize_biased_raw(-100.0, f), -128);
+    const auto g = lowp::GridSpec::from_fixed({8, 6});
+    EXPECT_EQ(lowp::round_biased_raw(100.0, g), 127);
+    EXPECT_EQ(lowp::round_biased_raw(-100.0, g), -128);
 }
 
 TEST(Dequantize, RoundTripsRepresentableValues)
 {
-    const FixedFormat f{16, 14};
+    const auto g = lowp::GridSpec::from_fixed({16, 14});
     for (long raw : {-16384L, -1L, 0L, 1L, 37L, 16383L}) {
-        const double x = dequantize(raw, f);
-        EXPECT_EQ(quantize_biased_raw(x, f), raw);
+        const double x = lowp::dequantize_raw(raw, g);
+        EXPECT_EQ(lowp::round_biased_raw(x, g), raw);
     }
 }
 
 TEST(UnbiasedQuantize, ExactValuesAreFixedPoints)
 {
-    const FixedFormat f{8, 6};
+    const auto g = lowp::GridSpec::from_fixed({8, 6});
     rng::XorshiftSource src(5);
     // Values already on the grid must never be perturbed.
     for (long raw : {-128L, -3L, 0L, 64L, 127L}) {
-        const double x = dequantize(raw, f);
+        const double x = lowp::dequantize_raw(raw, g);
         for (int i = 0; i < 20; ++i)
-            EXPECT_EQ(quantize_unbiased_raw(x, f, src), raw);
+            EXPECT_EQ(lowp::round_unbiased_raw(x, g, src.next_unit_float()),
+                      raw);
     }
 }
 
 TEST(UnbiasedQuantize, OutputIsOneOfTwoNeighbours)
 {
-    const FixedFormat f{8, 6};
+    const auto g = lowp::GridSpec::from_fixed({8, 6});
     rng::XorshiftSource src(5);
     const double x = 0.3; // 19.2 quanta
     for (int i = 0; i < 200; ++i) {
-        const long q = quantize_unbiased_raw(x, f, src);
+        const long q = lowp::round_unbiased_raw(x, g, src.next_unit_float());
         EXPECT_TRUE(q == 19 || q == 20) << q;
     }
 }
@@ -105,12 +111,13 @@ class UnbiasedMean
 TEST_P(UnbiasedMean, ExpectationMatchesInput)
 {
     const auto [strategy, x] = GetParam();
-    const FixedFormat f{8, 6};
+    const auto g = lowp::GridSpec::from_fixed({8, 6});
     auto src = rng::make_source(strategy, 1234, /*shared_period=*/8);
     constexpr int kTrials = 200000;
     double sum = 0.0;
     for (int i = 0; i < kTrials; ++i)
-        sum += dequantize(quantize_unbiased_raw(x, f, *src), f);
+        sum += lowp::dequantize_raw(
+            lowp::round_unbiased_raw(x, g, src->next_unit_float()), g);
     const double mean = sum / kTrials;
     // stddev of the estimate <= quantum / (2*sqrt(kTrials)) ~ 1.7e-5;
     // allow 6 sigma plus a little slack for the shared source correlation.
@@ -138,48 +145,46 @@ TEST(UnbiasedQuantize, BiasedRoundingIsBiasedOnAsymmetricInput)
 {
     // Sanity check of the *contrast*: nearest rounding of x=k+0.3 always
     // yields k, so its mean error is -0.3 quanta, while unbiased is ~0.
-    const FixedFormat f{8, 6};
-    const double x = dequantize(20, f) * 0.985; // 19.7 quanta
-    EXPECT_EQ(quantize_biased_raw(x, f), 20);   // deterministic
+    const auto g = lowp::GridSpec::from_fixed({8, 6});
+    const double x = lowp::dequantize_raw(20, g) * 0.985; // 19.7 quanta
+    EXPECT_EQ(lowp::round_biased_raw(x, g), 20);          // deterministic
 }
 
 TEST(QuantizeArray, BiasedMatchesScalarLoop)
 {
-    const FixedFormat f{8, 6};
+    const auto g = lowp::GridSpec::from_fixed({8, 6});
     std::vector<float> in = {0.0f, 0.5f, -0.51f, 1.9f, -7.0f, 0.0078125f};
     std::vector<std::int8_t> out(in.size());
-    quantize_array(in.data(), out.data(), in.size(), f, Rounding::kBiased,
-                   nullptr);
+    lowp::quantize_biased(in.data(), out.data(), in.size(), g);
     std::vector<std::int8_t> expected(in.size());
     for (std::size_t i = 0; i < in.size(); ++i)
         expected[i] =
-            static_cast<std::int8_t>(quantize_biased_raw(in[i], f));
+            static_cast<std::int8_t>(lowp::round_biased_raw(in[i], g));
     testutil::expect_all_eq(out, expected, "biased array");
 }
 
 TEST(QuantizeArray, RoundTripErrorBoundedByHalfQuantum)
 {
     const FixedFormat f{16, 14};
+    const auto g = lowp::GridSpec::from_fixed(f);
     std::vector<float> in, back;
     for (int i = 0; i < 1000; ++i)
         in.push_back(static_cast<float>(std::sin(0.1 * i)));
     std::vector<std::int16_t> q(in.size());
     back.resize(in.size());
-    quantize_array(in.data(), q.data(), in.size(), f, Rounding::kBiased,
-                   nullptr);
-    dequantize_array(q.data(), back.data(), in.size(), f);
+    lowp::quantize_biased(in.data(), q.data(), in.size(), g);
+    lowp::dequantize(q.data(), back.data(), in.size(), g);
     testutil::expect_all_near(back, in, f.quantum() / 2 + 1e-7,
                               "round trip");
 }
 
 TEST(QuantizeArray, UnbiasedConsumesSource)
 {
-    const FixedFormat f{8, 6};
+    const auto g = lowp::GridSpec::from_fixed({8, 6});
     std::vector<float> in(64, 0.3f);
     std::vector<std::int8_t> out(in.size());
     rng::XorshiftSource src(9);
-    quantize_array(in.data(), out.data(), in.size(), f, Rounding::kUnbiased,
-                   &src);
+    lowp::quantize_unbiased(in.data(), out.data(), in.size(), g, src);
     int n19 = 0, n20 = 0;
     for (auto v : out) {
         EXPECT_TRUE(v == 19 || v == 20);
@@ -194,19 +199,12 @@ TEST(QuantizeArray, SharedRandomnessRoundsBlockTogether)
 {
     // With period >= block length and identical inputs, every element gets
     // the same random draw, hence the same rounded value.
-    const FixedFormat f{8, 6};
+    const auto g = lowp::GridSpec::from_fixed({8, 6});
     std::vector<float> in(8, 0.3f);
     std::vector<std::int8_t> out(in.size());
     rng::SharedXorshiftSource src(/*period=*/8, /*seed=*/11);
-    quantize_array(in.data(), out.data(), in.size(), f, Rounding::kUnbiased,
-                   &src);
+    lowp::quantize_unbiased(in.data(), out.data(), in.size(), g, src);
     for (auto v : out) EXPECT_EQ(v, out[0]);
-}
-
-TEST(RoundingNames, ToString)
-{
-    EXPECT_STREQ(to_string(Rounding::kBiased), "biased");
-    EXPECT_STREQ(to_string(Rounding::kUnbiased), "unbiased");
 }
 
 // ---------------------------------------------------------------- nibbles
@@ -265,11 +263,11 @@ TEST(Nibble, IndependentSlots)
 TEST(Nibble, QuantizeToNibbleFormat)
 {
     // default_format(4) = fix4.2: quantum 0.25, range [-2, 1.75].
-    const FixedFormat f4 = default_format(4);
-    EXPECT_EQ(quantize_biased_raw(0.25, f4), 1);
-    EXPECT_EQ(quantize_biased_raw(1.75, f4), 7);
-    EXPECT_EQ(quantize_biased_raw(5.0, f4), 7);
-    EXPECT_EQ(quantize_biased_raw(-5.0, f4), -8);
+    const auto g4 = lowp::GridSpec::from_fixed(default_format(4));
+    EXPECT_EQ(lowp::round_biased_raw(0.25, g4), 1);
+    EXPECT_EQ(lowp::round_biased_raw(1.75, g4), 7);
+    EXPECT_EQ(lowp::round_biased_raw(5.0, g4), 7);
+    EXPECT_EQ(lowp::round_biased_raw(-5.0, g4), -8);
 }
 
 } // namespace

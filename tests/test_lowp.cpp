@@ -75,7 +75,7 @@ TEST(LowpGrid, SymmetricQuantumMatchesQuantSpec)
 }
 
 // ---------------------------------------------------------------------
-// Golden: fixed:: array quantization (biased + per-write unbiased)
+// Golden: array quantization on a fixed format (per-write unbiased)
 // ---------------------------------------------------------------------
 
 TEST(LowpGolden, FixedUnbiasedArrayMatchesSeed)
@@ -83,9 +83,9 @@ TEST(LowpGolden, FixedUnbiasedArrayMatchesSeed)
     const auto v = test_input(16, 1.2f);
     std::vector<std::int8_t> out(v.size());
     rng::XorshiftSource src(7);
-    fixed::quantize_array(v.data(), out.data(), v.size(),
-                          fixed::default_format(8),
-                          fixed::Rounding::kUnbiased, &src);
+    lowp::quantize_unbiased(
+        v.data(), out.data(), v.size(),
+        lowp::GridSpec::from_fixed(fixed::default_format(8)), src);
     const std::vector<std::int8_t> expected = {-76, 72, -73, -4, -59, -57,
                                                54,  62, 70,  -47, 31, -1,
                                                15,  -56, -72, 63};

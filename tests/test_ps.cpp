@@ -1152,63 +1152,10 @@ TEST(PsCluster, WorkerPullsOnlyInItsFirstRound)
 
 // ======================================================= PsWorker
 
-/// 0 (a third of the time) or a signed power of two in [2^-2, 2^1].
-/// With every feature of this form each product the worker forms
-/// (w * x and g * x) is exact, so its pushes are the same bytes whether
-/// or not the compiler fuses those products into FMAs.
-float
-power_of_two_feature(rng::Xorshift128Plus& rng)
-{
-    const std::uint64_t r = rng();
-    if (r % 3 == 0) return 0.0f;
-    const float magnitude =
-        std::ldexp(1.0f, static_cast<int>((r >> 8) % 4) - 2);
-    return ((r >> 16) & 1u) != 0 ? -magnitude : magnitude;
-}
-
-dataset::DenseProblem
-power_of_two_dense_problem()
-{
-    rng::Xorshift128Plus rng(0xD0);
-    dataset::DenseProblem p;
-    p.dim = 40;
-    p.examples = 48;
-    std::vector<float> truth(p.dim);
-    for (float& t : truth) t = power_of_two_feature(rng);
-    for (std::size_t i = 0; i < p.examples; ++i) {
-        float margin = 0.0f;
-        for (std::size_t k = 0; k < p.dim; ++k) {
-            p.x.push_back(power_of_two_feature(rng));
-            margin += p.x.back() * truth[k];
-        }
-        p.y.push_back(margin >= 0.0f ? 1.0f : -1.0f);
-    }
-    return p;
-}
-
-dataset::SparseProblem
-power_of_two_sparse_problem()
-{
-    rng::Xorshift128Plus rng(0x5A);
-    dataset::SparseProblem p;
-    p.dim = 96;
-    std::vector<float> truth(p.dim);
-    for (float& t : truth) t = power_of_two_feature(rng);
-    for (std::size_t i = 0; i < 48; ++i) {
-        dataset::SparseRow row;
-        float margin = 0.0f;
-        for (std::uint32_t k = 0; k < p.dim; ++k) {
-            const float x = power_of_two_feature(rng);
-            if (x == 0.0f || rng() % 6 != 0) continue;
-            row.index.push_back(k);
-            row.value.push_back(x);
-            margin += x * truth[k];
-        }
-        p.rows.push_back(std::move(row));
-        p.y.push_back(margin >= 0.0f ? 1.0f : -1.0f);
-    }
-    return p;
-}
+// Every feature is 0 or a signed power of two in [2^-2, 2^1]
+// (testutil::power_of_two_feature), so each product the worker forms is
+// exact and its pushes are the same bytes whether or not the compiler
+// fuses products into FMAs.
 
 /// Runs one worker for `cfg.rounds` rounds against two fake shards on an
 /// InProcTransport and returns the FNV-1a 64 hash of the bytes of every
@@ -1312,7 +1259,7 @@ TEST(PsWorker, DensePushesMatchGoldens)
     // workers train on: these goldens fail by design, bump them
     // consciously. Slices from acks and slices from pulls are the same
     // slices, so both give the same bytes.
-    const auto problem = power_of_two_dense_problem();
+    const auto problem = testutil::power_of_two_dense_problem(40, 48, 0xD0);
     for (const bool slices_in_acks : {true, false}) {
         SCOPED_TRACE(slices_in_acks ? "slices in acks" : "pull fallback");
         EXPECT_EQ(worker_push_hash(problem,
@@ -1334,7 +1281,8 @@ TEST(PsWorker, DensePushesMatchGoldens)
 
 TEST(PsWorker, SparsePushesMatchGoldens)
 {
-    const auto problem = power_of_two_sparse_problem();
+    const auto problem =
+        testutil::power_of_two_sparse_problem(96, 48, 0x5A, 6);
     for (const bool slices_in_acks : {true, false}) {
         SCOPED_TRACE(slices_in_acks ? "slices in acks" : "pull fallback");
         EXPECT_EQ(worker_push_hash(problem,
