@@ -444,6 +444,7 @@ class Engine
         metrics.epochs = cfg_.epochs;
         const double numbers = detail::numbers_per_epoch(data_);
         float eta = cfg_.step_size;
+        Evaluation last;
         for (std::size_t epoch = 0; epoch < cfg_.epochs; ++epoch) {
             if (cfg_.shuffle) reshuffle(epoch);
             BUCKWILD_OBS_SPAN("core", "sgd.epoch");
@@ -457,12 +458,15 @@ class Engine
             BUCKWILD_OBS_GAUGE_ADD("train.numbers", numbers);
             BUCKWILD_OBS_GAUGE_ADD("train.seconds", epoch_seconds);
             eta *= cfg_.step_decay;
-            if (cfg_.record_loss_trace)
-                metrics.loss_trace.push_back(evaluate().loss);
+            if (cfg_.record_loss_trace) {
+                last = evaluate();
+                metrics.loss_trace.push_back(last.loss);
+            }
         }
         metrics.numbers_processed =
             static_cast<double>(cfg_.epochs) * numbers;
-        const Evaluation last = evaluate();
+        // The last trace entry already scored the final model.
+        if (!cfg_.record_loss_trace || cfg_.epochs == 0) last = evaluate();
         metrics.final_loss = last.loss;
         metrics.accuracy = last.accuracy;
         return metrics;

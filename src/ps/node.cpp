@@ -107,7 +107,8 @@ run_worker_rounds(const ClusterConfig& config, const Problem& problem,
     std::vector<bool> held(shards, false);
     auto gradient = detail::accumulator_for(
         problem,
-        config.error_feedback && config.codec.kind != CodecKind::kDense);
+        config.error_feedback && config.codec.kind != CodecKind::kDense,
+        config.impl);
 
     // Per-worker stochastic-rounding stream for the CsQ tiers; seeded
     // from the worker id so runs are reproducible and workers
@@ -303,9 +304,8 @@ template <typename Problem>
 void
 evaluate_model(const Problem& problem, core::Loss loss,
                const std::vector<float>& model, double* out_loss,
-               double* out_accuracy)
+               double* out_accuracy, simd::Impl impl)
 {
-    const simd::Impl impl = simd::best_impl();
     const core::Evaluation e =
         core::evaluate(loss, problem.y, [&](std::size_t i) {
             return detail::row_dot(impl, detail::row(problem, i),
@@ -353,7 +353,7 @@ detail::finish_cluster_result(const Problem& problem,
                               ClusterResult& result)
 {
     evaluate_model(problem, config.loss, result.checkpoint.weights,
-                   &result.final_loss, &result.accuracy);
+                   &result.final_loss, &result.accuracy, config.impl);
     std::uint64_t encoded_total = 0;
     for (const WorkerStats& stats : worker_stats) {
         result.rounds += stats.rounds;
@@ -668,7 +668,7 @@ train_cluster_multiprocess(const Problem& problem,
         const std::vector<net::Address>&);                                 \
     template void evaluate_model(const Problem&, core::Loss,               \
                                  const std::vector<float>&, double*,       \
-                                 double*);                                 \
+                                 double*, simd::Impl);                     \
     template void detail::finish_cluster_result(                           \
         const Problem&, const ClusterConfig&,                              \
         const std::vector<WorkerStats>&, ClusterResult&);                  \

@@ -99,6 +99,8 @@ struct WorkerStats
  * without one. Increments `*rounds_done` (when non-null) after each
  * round, for an external publisher loop.
  *
+ * Over dense rows each margin and each gradient add run the registered
+ * dense dot and AXPY of `config.impl` (simd::DenseOps<float, float>).
  * Over sparse rows the gradient is accumulated over only the touched
  * coordinates (the registered sparse dot kernels of `config.impl`),
  * error feedback is a sparse residual, and each shard is pushed the
@@ -164,13 +166,15 @@ class ControlClient
 
 // --------------------------------------------------------- assembly
 
-/// Average loss and accuracy of `model` over the whole problem. Dense
-/// rows take the scalar dot the worker uses; sparse rows the registered
-/// sparse dot of the ambient kernel tier.
+/// Average loss and accuracy of `model` over the whole problem, from
+/// the margins the worker computes: the registered dense or sparse dot
+/// of kernel tier `impl` (the cluster's `config.impl`; the ambient tier
+/// when omitted).
 template <typename Problem>
 void evaluate_model(const Problem& problem, core::Loss loss,
                     const std::vector<float>& model, double* out_loss,
-                    double* out_accuracy);
+                    double* out_accuracy,
+                    simd::Impl impl = simd::best_impl());
 
 /// Wraps weights in the async-C DMGC provenance signature at the
 /// configured wire codec — every checkpoint a cluster publishes or

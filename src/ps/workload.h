@@ -24,6 +24,7 @@
 #include "ps/gradient_view.h"
 #include "ps/node.h"
 #include "ps/quantize.h"
+#include "simd/ops.h"
 #include "simd/sparse_ops.h"
 
 namespace buckwild::ps::detail {
@@ -69,14 +70,13 @@ row_numbers(const dataset::SparseRow& x)
     return x.value.size();
 }
 
-/// The margin w . x. A dense row runs the scalar loop whatever `impl`
-/// names; a sparse row runs the registered gather dot of tier `impl`.
+/// The margin w . x through the registered kernels of tier `impl`: the
+/// dense dot for a dense row, the gather dot for a sparse one.
 inline float
-row_dot(simd::Impl, std::span<const float> x, const float* w)
+row_dot(simd::Impl impl, std::span<const float> x, const float* w)
 {
-    float z = 0.0f;
-    for (std::size_t k = 0; k < x.size(); ++k) z += w[k] * x[k];
-    return z;
+    return simd::DenseOps<float, float>::dot(impl, x.data(), w, x.size(),
+                                             1.0f, 1.0f);
 }
 
 inline float
@@ -122,14 +122,15 @@ is_sparse_workload(const dataset::SparseProblem&)
 // span), then begin_pushes(), encode() once per shard in slice order,
 // and end_round().
 
-/// The round gradient over dense rows: a full-width sum and, under error
-/// feedback, the full-width residual the codec leaves behind.
+/// The round gradient over dense rows: a full-width sum, added to by the
+/// registered AXPY of tier `impl`, and, under error feedback, the
+/// full-width residual the codec leaves behind.
 class DenseAccumulator
 {
   public:
-    DenseAccumulator(std::size_t dim, bool feedback)
+    DenseAccumulator(std::size_t dim, bool feedback, simd::Impl impl)
         : gradient_(dim), residual_(feedback ? dim : 0, 0.0f),
-          feedback_(feedback)
+          feedback_(feedback), impl_(impl)
     {}
 
     void
@@ -141,7 +142,9 @@ class DenseAccumulator
     void
     add(float g, std::span<const float> x)
     {
-        for (std::size_t k = 0; k < x.size(); ++k) gradient_[k] += g * x[k];
+        simd::DenseOps<float, float>::axpy(impl_, gradient_.data(), x.data(),
+                                           x.size(), g, 1.0f, 1.0f,
+                                           simd::biased_unit());
     }
 
     void
@@ -172,6 +175,7 @@ class DenseAccumulator
     std::vector<float> gradient_;
     std::vector<float> residual_;
     bool feedback_;
+    simd::Impl impl_;
 };
 
 /// The round gradient over sparse rows: a dense scratch sum plus an
@@ -295,14 +299,19 @@ class SparseAccumulator
     std::vector<float> slice_residual_;
 };
 
+/// The round's accumulator for `problem`'s row kind. Dense rows add
+/// through the AXPY of tier `impl`; the sparse scatter also records the
+/// support, so it stays a loop of its own.
 inline DenseAccumulator
-accumulator_for(const dataset::DenseProblem& problem, bool feedback)
+accumulator_for(const dataset::DenseProblem& problem, bool feedback,
+                simd::Impl impl)
 {
-    return {problem.dim, feedback};
+    return {problem.dim, feedback, impl};
 }
 
 inline SparseAccumulator
-accumulator_for(const dataset::SparseProblem& problem, bool feedback)
+accumulator_for(const dataset::SparseProblem& problem, bool feedback,
+                simd::Impl)
 {
     return {problem.dim, feedback};
 }

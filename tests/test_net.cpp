@@ -1564,7 +1564,7 @@ train_over_sockets(const Problem& problem, const ps::ClusterConfig& cfg)
         ps::ControlClient control(cfg, addresses);
         const std::vector<float> model = control.snapshot(problem.dim);
         ps::evaluate_model(problem, cfg.loss, model, &result.final_loss,
-                           &result.accuracy);
+                           &result.accuracy, cfg.impl);
         result.metrics.shards = control.stats();
         control.shutdown();
     }

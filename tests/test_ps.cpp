@@ -22,13 +22,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <thread>
 #include <vector>
 
 #include "core/comm_sgd.h"
 #include "dataset/problem.h"
 #include "ps/ps.h"
+#include "ps/workload.h"
 #include "rng/xorshift.h"
 #include "serve/serve.h"
 #include "test_common.h"
@@ -987,6 +990,28 @@ TEST(PsCluster, CheckpointCarriesAsyncProvenance)
     EXPECT_EQ(full.checkpoint.signature.to_string(), "C32f");
 }
 
+TEST(PsCluster, ReferenceTierScoresWithReferenceDot)
+{
+    // A cluster at `impl reference` is reference end to end: its final
+    // loss and accuracy are core::evaluate over the reference tier's
+    // dense dot, whatever tier the host would pick.
+    auto cfg = cluster_config(32);
+    cfg.rounds = 40;
+    cfg.impl = simd::Impl::kReference;
+    const auto& problem = cluster_problem();
+    const auto r = ps::train_cluster(problem, cfg);
+    const std::vector<float>& w = r.checkpoint.weights;
+    const core::Evaluation want =
+        core::evaluate(cfg.loss, problem.y, [&](std::size_t i) {
+            return simd::DenseOps<float, float>::dot(
+                simd::Impl::kReference, problem.row(i), w.data(),
+                problem.dim, 1.0f, 1.0f);
+        });
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.final_loss),
+              std::bit_cast<std::uint64_t>(want.loss));
+    EXPECT_EQ(r.accuracy, want.accuracy);
+}
+
 TEST(PsCluster, DeterministicReplayRepeatsMetricCounters)
 {
     // The deterministic-replay contract behind --metrics-out: with fault
@@ -1157,26 +1182,25 @@ TEST(PsCluster, WorkerPullsOnlyInItsFirstRound)
 // exact and its pushes are the same bytes whether or not the compiler
 // fuses products into FMAs.
 
-/// Runs one worker for `cfg.rounds` rounds against two fake shards on an
-/// InProcTransport and returns the FNV-1a 64 hash of the bytes of every
-/// push it made, shard 0's in clock order, then shard 1's. Each fake
-/// shard records a push once per clock (a retransmission is only acked)
-/// and answers a pull with -2^-4 times the sum of the pushes it has
-/// recorded, decoded: the worker trains, and a retransmitted pull gets
-/// the same answer. With `slices_in_acks` the ack of a recorded push
-/// carries that same slice, as a real shard's does; without, the worker
-/// falls back to a pull every round. A fake shard's answer depends only
-/// on its own recorded pushes, so both modes must give the same bytes.
+/// Runs one worker for `cfg.rounds` rounds at kernel tier `cfg.impl`
+/// against two fake shards on an InProcTransport and returns every push
+/// it made, shard by shard in clock order. Each fake shard records a
+/// push once per clock (a retransmission is only acked) and answers a
+/// pull with -2^-4 times the sum of the pushes it has recorded, decoded:
+/// the worker trains, and a retransmitted pull gets the same answer.
+/// With `slices_in_acks` the ack of a recorded push carries that same
+/// slice, as a real shard's does; without, the worker falls back to a
+/// pull every round. A fake shard's answer depends only on its own
+/// recorded pushes, so both modes must give the same pushes.
 template <typename Problem>
-std::uint64_t
-worker_push_hash(const Problem& problem, ps::ClusterConfig cfg,
-                 bool slices_in_acks)
+std::vector<std::vector<ps::Message>>
+worker_pushes(const Problem& problem, ps::ClusterConfig cfg,
+              bool slices_in_acks)
 {
     cfg.workers = 1;
     cfg.shards = 2;
-    cfg.impl = simd::Impl::kReference;
     ps::InProcTransport transport(ps::cluster_endpoints(cfg));
-    std::vector<std::vector<std::vector<std::uint8_t>>> pushes(cfg.shards);
+    std::vector<std::vector<ps::Message>> pushes(cfg.shards);
     std::vector<std::uint64_t> pulls(cfg.shards, 0);
     WorkerGroup shards;
     shards.start(cfg.shards, [&](std::size_t s) {
@@ -1203,7 +1227,6 @@ worker_push_hash(const Problem& problem, ps::ClusterConfig cfg,
                 push.worker = request.worker;
                 push.clock = request.clock;
                 push.gradient = request.gradient;
-                pushes[s].push_back(ps::serialize_message(push));
                 if (push.gradient.sparse()) {
                     const ps::SparseGradient g =
                         ps::decode_sparse_gradient(push.gradient);
@@ -1215,6 +1238,7 @@ worker_push_hash(const Problem& problem, ps::ClusterConfig cfg,
                     for (std::size_t k = 0; k < g.size(); ++k)
                         weights[k] -= 0x1p-4f * g[k];
                 }
+                pushes[s].push_back(std::move(push));
                 if (slices_in_acks) reply.weights = weights;
             }
             transport.send(request.sender, std::move(reply));
@@ -1232,13 +1256,23 @@ worker_push_hash(const Problem& problem, ps::ClusterConfig cfg,
         else
             EXPECT_GE(served, cfg.rounds);
     }
+    for (const auto& shard : pushes) EXPECT_EQ(shard.size(), cfg.rounds);
+    return pushes;
+}
+
+/// The FNV-1a 64 hash of the bytes of every push worker_pushes() makes
+/// at the reference tier, shard 0's in clock order, then shard 1's.
+template <typename Problem>
+std::uint64_t
+worker_push_hash(const Problem& problem, ps::ClusterConfig cfg,
+                 bool slices_in_acks)
+{
+    cfg.impl = simd::Impl::kReference;
     std::uint64_t hash = 0xcbf29ce484222325ull;
-    for (const auto& shard : pushes) {
-        EXPECT_EQ(shard.size(), cfg.rounds);
-        for (const auto& bytes : shard)
-            for (const std::uint8_t b : bytes)
+    for (const auto& shard : worker_pushes(problem, cfg, slices_in_acks))
+        for (const ps::Message& push : shard)
+            for (const std::uint8_t b : ps::serialize_message(push))
                 hash = (hash ^ b) * 0x100000001b3ull;
-    }
     return hash;
 }
 
@@ -1266,16 +1300,93 @@ TEST(PsWorker, DensePushesMatchGoldens)
                                    golden_worker_config(
                                        ps::Codec::from_bits(32)),
                                    slices_in_acks),
-                  0x9f9d5a5f52fde163ull);
+                  0xedd97384f577b4eeull);
         EXPECT_EQ(worker_push_hash(problem,
                                    golden_worker_config(
                                        ps::Codec::from_bits(8)),
                                    slices_in_acks),
-                  0x6b54e96004350d0full);
+                  0x5d6b85af5244f51full);
         EXPECT_EQ(worker_push_hash(problem,
                                    golden_worker_config(ps::Codec::qsgd(4)),
                                    slices_in_acks),
-                  0xc06e7a0b6daca952ull);
+                  0xa8cbcaa283d2c750ull);
+    }
+}
+
+TEST(PsWorker, DenseRowKindRunsTheClusterTier)
+{
+    // A dense row's margin and gradient add are the registered
+    // DenseOps<float, float> kernels of the tier the cluster names, bit
+    // for bit. Uniform (not power-of-two) features make each tier's
+    // summation order and FMA use visible.
+    const auto problem = dataset::generate_logistic_dense(1000, 3, 0xD1);
+    rng::Xorshift128Plus rng(0xD2);
+    const std::vector<float> w = fuzz_vector(rng, problem.dim, 0.5f);
+    const float g[] = {0.75f, -0.3f, 1.1f};
+    for (const simd::Impl impl : simd::kAllImpls) {
+        if (!simd::impl_supported(impl)) continue;
+        SCOPED_TRACE(simd::to_string(impl));
+        auto gradient = ps::detail::accumulator_for(problem, false, impl);
+        std::vector<float> want(problem.dim, 0.0f);
+        gradient.begin_minibatch();
+        for (std::size_t i = 0; i < problem.examples; ++i) {
+            const auto x = ps::detail::row(problem, i);
+            const float margin = ps::detail::row_dot(impl, x, w.data());
+            const float kernel = simd::DenseOps<float, float>::dot(
+                impl, x.data(), w.data(), x.size(), 1.0f, 1.0f);
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(margin),
+                      std::bit_cast<std::uint32_t>(kernel))
+                << "row " << i;
+            gradient.add(g[i], x);
+            simd::DenseOps<float, float>::axpy(impl, want.data(), x.data(),
+                                               x.size(), g[i], 1.0f, 1.0f,
+                                               simd::biased_unit());
+        }
+        gradient.add_residual();
+        gradient.begin_pushes();
+        const std::vector<float> got = ps::decode_gradient(gradient.encode(
+            0, problem.dim, ps::Codec::from_bits(32), nullptr));
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              want.size() * sizeof(float)),
+                  0);
+    }
+}
+
+TEST(PsWorker, DensePushesAtEveryTierTrackTheReference)
+{
+    // The golden harness run at every tier this host supports: the
+    // tiers sum in different orders, so their pushes may differ in the
+    // last bits, but every decoded push stays within the kernel
+    // comparator's float-model AXPY tolerance (1e-5 per element) of the
+    // reference tier's.
+    const auto problem = testutil::power_of_two_dense_problem(40, 48, 0xD0);
+    for (const ps::Codec codec : {ps::Codec::from_bits(32),
+                                  ps::Codec::from_bits(8),
+                                  ps::Codec::qsgd(4)}) {
+        ps::ClusterConfig cfg = golden_worker_config(codec);
+        cfg.impl = simd::Impl::kReference;
+        const auto reference = worker_pushes(problem, cfg, true);
+        for (const simd::Impl impl : simd::kAllImpls) {
+            if (impl == simd::Impl::kReference ||
+                !simd::impl_supported(impl))
+                continue;
+            SCOPED_TRACE(codec.name() + " at " + simd::to_string(impl));
+            cfg.impl = impl;
+            const auto pushes = worker_pushes(problem, cfg, true);
+            ASSERT_EQ(pushes.size(), reference.size());
+            for (std::size_t s = 0; s < pushes.size(); ++s) {
+                ASSERT_EQ(pushes[s].size(), reference[s].size());
+                for (std::size_t r = 0; r < pushes[s].size(); ++r) {
+                    SCOPED_TRACE("shard " + std::to_string(s) +
+                                 " clock " + std::to_string(r + 1));
+                    testutil::expect_all_near(
+                        ps::decode_gradient(pushes[s][r].gradient),
+                        ps::decode_gradient(reference[s][r].gradient),
+                        1e-5, "push");
+                }
+            }
+        }
     }
 }
 

@@ -480,7 +480,8 @@ run_control(const Options& opt, const Problem& problem)
     ps::ControlClient control(opt.cluster, opt.shard_addresses);
     const std::vector<float> model = control.snapshot(problem.dim);
     double loss = 0.0, accuracy = 0.0;
-    ps::evaluate_model(problem, opt.cluster.loss, model, &loss, &accuracy);
+    ps::evaluate_model(problem, opt.cluster.loss, model, &loss, &accuracy,
+                       opt.cluster.impl);
     std::printf("control: final_loss %.6f accuracy %.6f\n", loss, accuracy);
 
     const std::vector<ps::ShardMetrics> shards = control.stats();

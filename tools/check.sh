@@ -4,8 +4,10 @@
 #
 #   0. lint: no quantization/rounding primitive outside src/lowp/
 #      (tools/lint_quantizers.sh), no byte-codec helper outside
-#      src/net/bytes.h (tools/lint_codec.sh) and no poll, accept or
-#      non-blocking socket call outside src/net/ (tools/lint_net.sh);
+#      src/net/bytes.h (tools/lint_codec.sh), no poll, accept or
+#      non-blocking socket call outside src/net/ (tools/lint_net.sh) and
+#      no hand-rolled dense dot or AXPY in src/ps, src/serve or src/gate
+#      (tools/lint_kernels.sh);
 #   1. build the whole tree under ASan+UBSan and run the full gtest suite
 #      (including test_lowp's cross-layer bit-identity goldens and the
 #      fixed-seed mutation fuzz of the ps, gate and trace-block decoders);
@@ -34,10 +36,11 @@ while getopts "j:" opt; do
   esac
 done
 
-echo "== lint: substrate is the only quantizer, net/bytes.h the only byte codec, net::Reactor the only event loop =="
+echo "== lint: substrate is the only quantizer, net/bytes.h the only byte codec, net::Reactor the only event loop, DenseOps the only dense dot/AXPY =="
 tools/lint_quantizers.sh
 tools/lint_codec.sh
 tools/lint_net.sh
+tools/lint_kernels.sh
 
 echo "== ASan+UBSan: full suite =="
 cmake --preset asan
